@@ -13,10 +13,7 @@ class Fig2TopLvsATindexBench extends SparkSpec {
 
   test("Fig 2: TopL-ICDE vs ATindex") {
     val rows = Experiments.fig2(spark)
-    Tables.show("Fig 2: TopL-ICDE vs ATindex (paper: >10x on every graph)",
-      Seq("graph", "TopL ms", "ATindex offline ms", "ATindex online ms", "refined centers", "speedup x"),
-      rows.map(r => Seq(r.graph, Tables.ms(r.topLMs), Tables.ms(r.atOfflineMs),
-        Tables.ms(r.atOnlineMs), r.atRefined.toString, Tables.d2(r.speedup))))
+    Tables.fig2(rows)
     rows.foreach { r =>
       assert(r.topLMs > 0 && r.atOnlineMs > 0)
       assert(r.speedup > 1.0, s"${r.graph}: index+pruning must beat ATindex (got ${r.speedup}x)")

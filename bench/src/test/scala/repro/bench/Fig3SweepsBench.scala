@@ -12,13 +12,9 @@ import repro.exp.{Experiments, Tables}
   */
 class Fig3SweepsBench extends SparkSpec {
 
-  private def sweepTable(title: String, rows: Seq[Experiments.SweepRow]): Unit =
-    Tables.show(title, Seq("graph", "param", "value", "wall ms", "answers"),
-      rows.map(r => Seq(r.graph, r.param, r.value, Tables.ms(r.ms), r.answers.toString)))
-
   test("Fig 3(a-e): theta, |Q|, k, r, L sweeps on fixed graphs") {
     val rows = Experiments.fig3Fixed(spark)
-    sweepTable("Fig 3(a-e) (paper: 2.44-10.83 s at 50K; low sensitivity except r)", rows)
+    Tables.fig3Fixed(rows)
     assert(rows.nonEmpty)
     rows.foreach(r => assert(r.ms >= 0 && r.answers >= 0))
     // r is the dominant cost driver: r=3 costs more than r=1 on every graph
@@ -33,7 +29,7 @@ class Fig3SweepsBench extends SparkSpec {
 
   test("Fig 3(f-g): |v.W| and |Sigma| sweeps on regenerated graphs") {
     val rows = Experiments.fig3Regen(spark)
-    sweepTable("Fig 3(f-g) (paper: 0.73-5.94 s; humped in |v.W| and |Sigma|)", rows)
+    Tables.fig3Regen(rows)
     assert(rows.count(_.param == "|v.W|") == 15)
     assert(rows.count(_.param == "|Sigma|") == 12)
     // more keywords per vertex -> more eligible centers -> at least as many answers

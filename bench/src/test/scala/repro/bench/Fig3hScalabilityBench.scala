@@ -11,9 +11,7 @@ class Fig3hScalabilityBench extends SparkSpec {
 
   test("Fig 3(h): scalability in |V|") {
     val rows = Experiments.fig3h(spark)
-    Tables.show("Fig 3(h): scalability (paper: 0.51 s @10K -> 255.62 s @1M, smooth growth)",
-      Seq("graph", "|V|", "offline ms", "online ms", "answers"),
-      rows.map(r => Seq(r.graph, r.n.toString, Tables.ms(r.offlineMs), Tables.ms(r.onlineMs), r.answers.toString)))
+    Tables.fig3h(rows)
     assert(rows.map(_.n) == Experiments.ScaleSweep)
     rows.foreach(r => assert(r.answers > 0, s"no answers at |V|=${r.n}"))
     // shape: the largest graph costs more than the smallest, both phases

@@ -14,9 +14,7 @@ class Fig4AblationBench extends SparkSpec {
 
   test("Fig 4: pruning ablation") {
     val rows = Experiments.fig4(spark)
-    Tables.show("Fig 4: pruning ablation (paper: ~10x more pruned per added strategy)",
-      Seq("graph", "pruning", "pruned", "refined", "wall ms"),
-      rows.map(r => Seq(r.graph, r.config, r.pruned.toString, r.refined.toString, Tables.ms(r.ms))))
+    Tables.fig4(rows)
     rows.groupBy(_.graph).foreach { case (g, rs) =>
       val byCfg = rs.map(r => r.config -> r).toMap
       val kw = byCfg("keyword")

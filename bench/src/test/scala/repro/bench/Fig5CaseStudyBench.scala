@@ -14,10 +14,7 @@ class Fig5CaseStudyBench extends SparkSpec {
 
   test("Fig 5: case study — TopL-ICDE vs k-core") {
     val rows = Experiments.fig5(spark)
-    Tables.show("Fig 5 (paper: truss sigma=344.31/974 influenced vs 4-core 239.81/646)",
-      Seq("method", "center", "|V(g)|", "sigma", "influenced"),
-      rows.map(r => Seq(r.method, r.center.toString, r.communitySize.toString,
-        Tables.d2(r.sigma), r.influenced.toString)))
+    Tables.fig5(rows)
     val truss = rows.head; val core = rows.last
     assert(truss.center == core.center, "same center vertex, as in the paper")
     assert(truss.communitySize > 0 && truss.sigma > 0 && truss.influenced >= truss.communitySize)

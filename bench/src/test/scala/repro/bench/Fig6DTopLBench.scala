@@ -12,14 +12,9 @@ import repro.exp.{Experiments, Tables}
   */
 class Fig6DTopLBench extends SparkSpec {
 
-  private val header = Seq("graph", "param", "value", "WP ms", "WoP ms", "Opt ms", "WP score", "Opt score", "accuracy")
-  private def row(r: Experiments.Fig6Row): Seq[String] =
-    Seq(r.graph, r.param, r.value, Tables.ms(r.wpMs), Tables.ms(r.wopMs), Tables.ms(r.optMs),
-      Tables.d2(r.wpScore), Tables.d2(r.optScore), Tables.pct(r.accuracy))
-
   test("Fig 6(a): Greedy_WP vs Greedy_WoP vs Optimal at defaults") {
     val rows = Experiments.fig6a(spark)
-    Tables.show("Fig 6(a) (paper: WP >= 1000x faster than Optimal)", header, rows.map(row))
+    Tables.fig6a(rows)
     rows.foreach { r =>
       assert(r.optMs > r.wpMs, s"${r.graph}: Optimal must cost more than lazy greedy")
       // submodular greedy guarantee against the (capped) optimal
@@ -31,8 +26,7 @@ class Fig6DTopLBench extends SparkSpec {
 
   test("Fig 6(b,c): L and n sweeps") {
     val rows = Experiments.fig6bc(spark)
-    Tables.show("Fig 6(b,c) (paper: 2.72-6.39 s over L; 2.72-6.28 s over n, mild growth)",
-      header, rows.map(row))
+    Tables.fig6bc(rows)
     assert(rows.count(_.param == "L") == 15)
     assert(rows.count(_.param == "n") == 15)
     rows.foreach(r => assert(r.wpScore > 0))
@@ -45,7 +39,7 @@ class Fig6DTopLBench extends SparkSpec {
 
   test("Fig 6(e): DTopL accuracy vs Optimal at |V|=1K") {
     val rows = Experiments.fig6e(spark)
-    Tables.show("Fig 6(e) (paper: accuracy 99.863%-100%)", header, rows.map(row))
+    Tables.fig6e(rows)
     rows.foreach { r =>
       assert(r.accuracy >= 0.95, s"${r.graph}: accuracy ${r.accuracy} below 95% (paper: >99.8%)")
       assert(r.accuracy <= 1.0 + 1e-9)

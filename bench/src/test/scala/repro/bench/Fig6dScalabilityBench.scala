@@ -11,9 +11,7 @@ class Fig6dScalabilityBench extends SparkSpec {
 
   test("Fig 6(d): DTopL scalability in |V|") {
     val rows = Experiments.fig6d(spark)
-    Tables.show("Fig 6(d) (paper: 0.9 s @10K -> 278.18 s @1M, smooth growth)",
-      Seq("graph", "|V|", "DTopL online ms", "D(S)"),
-      rows.map(r => Seq(r.graph, r.value, Tables.ms(r.wpMs), Tables.d2(r.wpScore))))
+    Tables.fig6d(rows)
     assert(rows.size == Experiments.ScaleSweep.size)
     rows.foreach(r => assert(r.wpScore > 0, s"|V|=${r.value}: empty diversified answer"))
     // no cliff: largest-vs-smallest online cost ratio stays bounded

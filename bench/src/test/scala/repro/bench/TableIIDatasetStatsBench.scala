@@ -13,9 +13,7 @@ class TableIIDatasetStatsBench extends SparkSpec {
 
   test("Table II: dataset statistics") {
     val rows = Experiments.tableII(spark)
-    Tables.show("Table II: dataset statistics (paper: DBLP 317K/1.05M, Amazon 335K/926K)",
-      Seq("graph", "|V(G)|", "|E(G)|", "|E|/|V|"),
-      rows.map(r => Seq(r.name, r.nV.toString, r.nE.toString, Tables.d2(r.nE.toDouble / r.nV))))
+    Tables.tableII(rows)
     val byName = rows.map(r => r.name -> r).toMap
     // densities must bracket the paper's real graphs
     val dblp = byName("DBLP-like"); val amzn = byName("Amazon-like")

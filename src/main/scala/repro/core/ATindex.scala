@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.graph.GraphData
-import repro.influence.MIA
 import repro.truss.Truss
 
 import scala.collection.mutable
@@ -59,10 +58,14 @@ object ATindex {
     while (v < g.n) {
       if (off.vertexTrussness(v) >= q.k) {
         refined += 1
-        SeedExtract.extract(g, v, q.r, q.k, q.keywords, eagerCenterCheck = false).foreach { seed =>
-          val cpp = MIA.influencedCpp(g, seed.vertices, q.theta)
-          results += Community(v, seed.vertices, MIA.sigmaOf(cpp), cpp.toMap)
-        }
+        if (g.matchesQuery(v, q.keywords))
+          SeedExtract.extract(g, v, q.r, q.k, q.keywords)
+            .foreach(seed => results += Community.scored(g, v, seed.vertices, q.theta))
+        else
+          // the paper's baseline extracts and peels the keyword-filtered
+          // ball before it finds that the center itself disqualifies; that
+          // cost is part of what Fig. 2 measures
+          Truss.kTrussPeel(SeedExtract.filteredBall(g, v, q.r, q.keywords)._2, q.k)
       }
       v += 1
     }

@@ -41,12 +41,8 @@ object BruteForce {
     val all = candidates(spark, bcG, q).collect()
     val bySig = mutable.LinkedHashMap[String, Cand]()
     all.sortBy(c => (-c.sigma, c.center)).foreach { c =>
-      bySig.getOrElseUpdate(c.vertices.mkString(","), c)
+      bySig.getOrElseUpdate(Community.key(c.vertices), c)
     }
-    val g = bcG.value
-    bySig.values.take(q.L).toSeq.map { c =>
-      val cpp = MIA.influencedCpp(g, c.vertices, q.theta)
-      Community(c.center, c.vertices, c.sigma, cpp.toMap)
-    }
+    bySig.values.take(q.L).toSeq.map(c => Community.scored(bcG.value, c.center, c.vertices, q.theta))
   }
 }

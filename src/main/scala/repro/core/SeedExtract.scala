@@ -16,7 +16,7 @@ import scala.collection.mutable
   * The maximal k-truss containing v_q is unique (k-trusses are closed
   * under union), so each center yields at most one candidate; removing
   * radius-violating vertices can break trussness and vice versa, so we
-  * iterate peel → component(v_q) → radius filter to a fixpoint (each
+  * iterate peel → BFS radius/reachability filter to a fixpoint (each
   * round strictly shrinks the vertex set, so it terminates).
   *
   * For k ≥ 3 the center must keep at least one edge in the truss — a
@@ -34,89 +34,56 @@ object SeedExtract {
     */
   final case class Seed(vertices: Array[Int], edges: Array[(Int, Int)])
 
-  /** @return the seed community of `center`, or None if none exists.
-    *
-    * @param eagerCenterCheck when true (the TopL-ICDE path), a center
-    *        without query keywords returns None immediately (Def. 2 makes
-    *        the community impossible). The ATindex baseline passes false:
-    *        the paper's baseline extracts and peels the keyword-filtered
-    *        ball around every trussness-eligible center before discovering
-    *        the center itself disqualifies — that cost is part of what
-    *        Fig. 2 measures.
+  /** The keyword-filtered r-hop ball around `center` (Lemma 1 applied
+    * exactly, per Def. 2 bullet 4): the vertices of hop(center, r) that
+    * match a query keyword, in BFS order — so a matching center has local
+    * id 0 — and their induced adjacency over local ids.
     */
-  def extract(
-      g: GraphData,
-      center: Int,
-      r: Int,
-      k: Int,
-      query: Array[Int],
-      eagerCenterCheck: Boolean = true): Option[Seed] = {
-    val centerOk = g.matchesQuery(center, query)
-    if (eagerCenterCheck && !centerOk) return None
-    val (ball, dist) = g.hopBall(center, r)
-    // keyword-filtered ball (Lemma 1 applied exactly, per Def. 2 bullet 4)
-    val kept = mutable.ArrayBuffer[Int]()
-    var i = 0
-    while (i < ball.length) {
-      if (g.matchesQuery(ball(i), query)) kept += ball(i)
-      i += 1
-    }
-    val global = kept.toArray
+  def filteredBall(g: GraphData, center: Int, r: Int, query: Array[Int]): (Array[Int], Truss.Adj) = {
+    val global = g.hopBall(center, r)._1.filter(g.matchesQuery(_, query))
     val localOf = new mutable.HashMap[Int, Int]()
     global.zipWithIndex.foreach { case (v, j) => localOf(v) = j }
     val adj: Truss.Adj = Array.fill(global.length)(mutable.HashSet[Int]())
     var j = 0
     while (j < global.length) {
-      val v = global(j)
-      g.foreachNeighbor(v) { (u, _) =>
+      g.foreachNeighbor(global(j)) { (u, _) =>
         localOf.get(u).foreach { lu => if (lu != j) { adj(j) += lu; adj(lu) += j } }
       }
       j += 1
     }
-    if (!centerOk) {
-      // baseline path: do the representative peeling work on the filtered
-      // ball, then report that no community centered here exists
-      Truss.kTrussPeel(adj, k)
-      return None
-    }
-    val c = localOf(center)
+    (global, adj)
+  }
+
+  /** @return the seed community of `center`, or None if none exists. */
+  def extract(g: GraphData, center: Int, r: Int, k: Int, query: Array[Int]): Option[Seed] = {
+    if (!g.matchesQuery(center, query)) return None
+    val (global, adj) = filteredBall(g, center, r, query)
     var changed = true
     while (changed) {
-      changed = false
       Truss.kTrussPeel(adj, k)
-      if (k >= 3 && adj(c).isEmpty) return None
-      val comp = Truss.componentOf(adj, c)
-      // drop everything outside the center's component
+      if (k >= 3 && adj(0).isEmpty) return None
+      // Def. 2 bullet 2 within the current subgraph: a vertex farther than
+      // r from the center, or cut off from it, leaves the community
+      val d = Truss.bfsDist(adj, 0)
+      changed = false
       adj.indices.foreach { v =>
-        if (!comp.contains(v) && adj(v).nonEmpty) {
-          adj(v).foreach(u => adj(u) -= v)
-          adj(v).clear()
-          changed = true
-        }
-      }
-      // enforce radius within the current subgraph g (Def. 2 bullet 2)
-      val d = Truss.bfsDist(adj, c)
-      comp.foreach { v =>
-        if (v != c && d(v) > r) {
+        if (d(v) > r && adj(v).nonEmpty) {
           adj(v).foreach(u => adj(u) -= v)
           adj(v).clear()
           changed = true
         }
       }
     }
-    if (k >= 3 && adj(c).isEmpty) None
-    else {
-      val comp = Truss.componentOf(adj, c)
-      val verts = comp.toArray.map(global).sorted
-      val edges = (for {
-        u <- comp.iterator
-        v <- adj(u).iterator
-        if u < v
-      } yield {
-        val (a, b) = (global(u), global(v))
-        if (a < b) (a, b) else (b, a)
-      }).toArray.sorted
-      Some(Seed(verts, edges))
-    }
+    // at the fixpoint every vertex with edges is within r of the center
+    val members = adj.indices.filter(v => v == 0 || adj(v).nonEmpty)
+    val edges = (for {
+      u <- members.iterator
+      v <- adj(u).iterator
+      if u < v
+    } yield {
+      val (a, b) = (global(u), global(v))
+      if (a < b) (a, b) else (b, a)
+    }).toArray.sorted
+    Some(Seed(members.map(global).toArray.sorted, edges))
   }
 }

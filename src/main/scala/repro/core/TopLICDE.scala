@@ -29,9 +29,23 @@ final case class Community(
     vertices: Array[Int],
     sigma: Double,
     cpp: Map[Int, Double]) {
-  def signature: String = vertices.mkString(",")
+  def signature: String = Community.key(vertices)
   override def toString: String =
     f"Community(center=$center, |V|=${vertices.length}, σ=$sigma%.3f)"
+}
+
+object Community {
+
+  /** Dedup key of a (sorted) vertex set: several centers can induce the
+    * same community.
+    */
+  def key(vertices: Array[Int]): String = vertices.mkString(",")
+
+  /** Score a seed community: MIA expansion of `vertices` to g^Inf. */
+  def scored(g: GraphData, center: Int, vertices: Array[Int], theta: Double): Community = {
+    val cpp = MIA.influencedCpp(g, vertices, theta)
+    Community(center, vertices, MIA.sigmaOf(cpp), cpp.toMap)
+  }
 }
 
 /** Which pruning strategies are active — the ablation knob of Fig. 4. */
@@ -127,11 +141,9 @@ object TopLICDE {
         case Some(seed) =>
           // dedup BEFORE the σ computation: the same community reached
           // from several of its members is scored once
-          val sig = seed.vertices.mkString(",")
-          if (!seen.add(sig)) stats.duplicates += 1
+          if (!seen.add(Community.key(seed.vertices))) stats.duplicates += 1
           else {
-            val cpp = MIA.influencedCpp(g, seed.vertices, q.theta)
-            val c = Community(v.id, seed.vertices, MIA.sigmaOf(cpp), cpp.toMap)
+            val c = Community.scored(g, v.id, seed.vertices, q.theta)
             if (top.size < q.L) top.enqueue(c)
             else if (c.sigma > top.head.sigma) { top.dequeue(); top.enqueue(c) }
           }

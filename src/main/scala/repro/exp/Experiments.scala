@@ -207,15 +207,10 @@ object Experiments {
     val q = query(k = DefaultK, r = DefaultR, l = 1)
     val top1 = built.topL(q).communities.head
     // the paper's comparison: a 4-core community around the SAME center,
-    // restricted to the same r-hop ball and query keywords
-    val (ball, _) = g.hopBall(top1.center, q.r)
-    val kept = ball.filter(v => g.matchesQuery(v, q.keywords))
-    val local = kept.zipWithIndex.toMap
-    val adj: repro.truss.Truss.Adj = Array.fill(kept.length)(mutable.HashSet[Int]())
-    kept.zipWithIndex.foreach { case (v, i) =>
-      g.foreachNeighbor(v) { (u, _) => local.get(u).foreach(j => if (i != j) { adj(i) += j; adj(j) += i }) }
-    }
-    val core = KCore.kCoreCommunity(adj, local(top1.center), q.k).toArray.map(kept).sorted
+    // restricted to the same r-hop ball and query keywords (the center
+    // matches the query, so it is local id 0)
+    val (kept, adj) = SeedExtract.filteredBall(g, top1.center, q.r, q.keywords)
+    val core = KCore.kCoreCommunity(adj, 0, q.k).toArray.map(kept).sorted
     val coreCpp = MIA.influencedCpp(g, core, q.theta)
     Seq(
       CaseStudyRow("TopL-ICDE (k-truss)", top1.center, top1.vertices.length, top1.sigma, top1.cpp.size),

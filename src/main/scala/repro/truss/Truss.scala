@@ -55,17 +55,21 @@ object Truss {
     * with support < k−2 and propagate the support decrements. The result
     * is the (unique) union of all k-trusses of the input.
     */
-  def kTrussPeel(adj: Adj, k: Int): Unit = {
-    val need = k - 2
-    if (need <= 0) return // every graph is a (≤2)-truss
-    val sup = supports(adj)
+  def kTrussPeel(adj: Adj, k: Int): Unit =
+    if (k > 2) peel(adj, supports(adj), k - 2, _ => ()) // every graph is a (≤2)-truss
+
+  /** The one peeling loop: remove every edge whose support is < `need`,
+    * propagating the decrements, until every edge left has support ≥ need.
+    * `sup` holds the support of exactly the edges still in `adj`; each
+    * removed edge leaves both and is passed to `removed`.
+    */
+  private def peel(adj: Adj, sup: mutable.HashMap[Long, Int], need: Int, removed: Long => Unit): Unit = {
     val queue = mutable.Queue[Long]()
     sup.foreach { case (e, s) => if (s < need) queue += e }
-    val dead = mutable.HashSet[Long]()
     while (queue.nonEmpty) {
       val e = queue.dequeue()
-      if (!dead.contains(e)) {
-        dead += e
+      if (sup.remove(e).isDefined) {
+        removed(e)
         val u = (e >>> 32).toInt; val v = (e & 0xffffffffL).toInt
         val common = commonNeighbors(adj, u, v).toArray
         adj(u) -= v; adj(v) -= u
@@ -74,11 +78,9 @@ object Truss {
           val fs = Array(key(u, w), key(v, w))
           while (i < 2) {
             val f = fs(i)
-            if (!dead.contains(f)) {
-              val s = sup(f) - 1
-              sup(f) = s
-              if (s < need) queue += f
-            }
+            val s = sup(f) - 1
+            sup(f) = s
+            if (s == need - 1) queue += f
             i += 1
           }
         }
@@ -116,45 +118,20 @@ object Truss {
   }
 
   /** Full truss decomposition: trussness(e) = max k such that e belongs to
-    * a k-truss (≥ 2 for every edge). Standard minimum-support peeling in
-    * nondecreasing support order; used by the ATindex baseline offline.
+    * a k-truss (≥ 2 for every edge). Level-by-level peeling (Wang & Cheng,
+    * VLDB 2012): the edges removed while peeling the k-truss to the
+    * (k+1)-truss have trussness k. Used by the ATindex baseline offline.
     *
     * @return map from packed edge key (u<v) to trussness
     */
   def trussness(adjIn: Adj): mutable.HashMap[Long, Int] = {
     val adj = copy(adjIn)
-    val cur = supports(adj)
+    val sup = supports(adj)
     val out = mutable.HashMap[Long, Int]()
-    val buckets = mutable.TreeMap[Int, mutable.HashSet[Long]]()
-    def bucketAdd(e: Long, s: Int): Unit = buckets.getOrElseUpdate(s, mutable.HashSet()) += e
-    def bucketRemove(e: Long, s: Int): Unit =
-      buckets.get(s).foreach { b => b -= e; if (b.isEmpty) buckets.remove(s) }
-    cur.foreach { case (e, s) => bucketAdd(e, s) }
     var k = 2
-    while (buckets.nonEmpty) {
-      val (s, bucket) = buckets.head
-      val e = bucket.head
-      bucketRemove(e, s)
-      k = math.max(k, s + 2)
-      out(e) = k
-      val u = (e >>> 32).toInt; val v = (e & 0xffffffffL).toInt
-      val common = commonNeighbors(adj, u, v).toArray
-      adj(u) -= v; adj(v) -= u
-      common.foreach { w =>
-        var i = 0
-        val fs = Array(key(u, w), key(v, w))
-        while (i < 2) {
-          val f = fs(i)
-          if (!out.contains(f)) {
-            val sf = cur(f)
-            bucketRemove(f, sf)
-            val ns = math.max(sf - 1, k - 2)
-            cur(f) = ns
-            bucketAdd(f, ns)
-          }
-          i += 1
-        }
-      }
+    while (sup.nonEmpty) {
+      peel(adj, sup, k - 1, e => out(e) = k)
+      k += 1
     }
     out
   }

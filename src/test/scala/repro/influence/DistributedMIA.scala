@@ -11,8 +11,8 @@ import org.apache.spark.sql.functions._
   * path strictly decrease, so the iteration reaches the exact MIA fixpoint
   * in at most ⌈log θ / log w_max⌉ rounds.
   *
-  * Used to cross-validate [[MIA]] (the per-candidate local expansion) and
-  * for whole-graph influence jobs.
+  * A test-side reference that cross-validates [[MIA]] (the per-candidate
+  * local expansion).
   */
 object DistributedMIA {
 

@@ -102,7 +102,10 @@ class TrussSpec extends AnyFunSuite with MiniChecks {
         Truss.kTrussPeel(peeled, k)
         val surviving = TestGraphs.edgeSet(peeled).map { case (u, v) => Truss.key(u, v) }
         val byTrussness = tn.filter(_._2 >= k).keySet
+        // both share one peel loop: check it against the from-scratch reference too
+        val byRef = TestGraphs.edgeSet(TestGraphs.refKTruss(adj, k)).map { case (u, v) => Truss.key(u, v) }
         assert(surviving == byTrussness, s"k=$k")
+        assert(byRef == byTrussness, s"k=$k vs reference")
       }
     }
   }
