@@ -32,19 +32,18 @@ object Pipeline {
     }
   }
 
-  /** Run the offline phase: distributed supports + per-vertex aggregates,
-    * then index construction.
+  /** Run the offline phase: local edge supports + partition-parallel
+    * per-vertex aggregates, then index construction.
     */
   def build(
       spark: SparkSession,
       gf: GraphFrames,
       rMax: Int = 3,
-      thetaGrid: Array[Double] = Precompute.DefaultThetaGrid,
-      fanout: Int = 32): Built = {
+      thetaGrid: Array[Double] = Precompute.DefaultThetaGrid): Built = {
     val t0 = System.nanoTime()
     val g = SocialGraph.toGraphData(gf)
     val rows = Precompute.offline(spark, g, gf.edges, rMax, thetaGrid)
-    val index = TreeIndex.build(rows, fanout)
+    val index = TreeIndex.build(rows)
     Built(g, index, thetaGrid, rMax, (System.nanoTime() - t0) / 1000000L)
   }
 }

@@ -31,7 +31,7 @@ object Experiments {
   val DefaultSigmaDomain = 20
   val DefaultNDiv = 5 // DTopL's n
   val RMax = 3
-  val ThetaGrid: Array[Double] = Array(0.1, 0.2, 0.3)
+  val ThetaGrid: Array[Double] = repro.index.Precompute.DefaultThetaGrid
 
   // reduced scales (paper values in comments)
   val DefaultN = 10000L   // paper 50K
@@ -133,7 +133,7 @@ object Experiments {
         val (res, ms) = timeMs(built.topL(q))
         rows += SweepRow(c.name, param, value, ms, res.communities.size)
       }
-      Seq(0.1, 0.2, 0.3).foreach(t => run("theta", t.toString, query(theta = t)))
+      ThetaGrid.foreach(t => run("theta", t.toString, query(theta = t)))
       Seq(2, 3, 5, 8, 10).foreach(s => run("|Q|", s.toString, query(qSize = s)))
       Seq(3, 4, 5).foreach(k => run("k", k.toString, query(k = k)))
       Seq(1, 2, 3).foreach(r => run("r", r.toString, query(r = r)))

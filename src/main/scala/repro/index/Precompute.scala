@@ -1,11 +1,10 @@
 package repro.index
 
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{Dataset, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import repro.graph.GraphData
 import repro.influence.MIA
-import repro.truss.Support
+import repro.truss.Truss
 
 /** Offline pre-computation (paper Algorithm 2).
   *
@@ -23,8 +22,8 @@ import repro.truss.Support
   *
   * The per-vertex work runs partition-parallel over vertex ranges with the
   * CSR graph and the incident-support array broadcast ("index over graph
-  * partitions"); the incident supports themselves come from the
-  * distributed triangle-count dataflow in [[repro.truss.Support]].
+  * partitions"); the incident supports themselves come from one local
+  * neighbour-set intersection pass, [[repro.truss.Truss.supports]].
   */
 object Precompute {
 
@@ -36,24 +35,24 @@ object Precompute {
   /** One row of pre-computed data: the aggregates of `hop(id, r)`. */
   final case class VertexAgg(id: Int, r: Int, bv: Long, ubSup: Int, sigmas: Array[Double])
 
-  /** Distributed max-incident-edge-support per vertex: (id, inc), from the
-    * whole-graph edge supports. Vertices without edges are absent.
+  /** Max whole-graph support of the edges incident to each vertex (0 for
+    * isolated vertices): [[repro.truss.Truss.supports]], folded per endpoint.
     */
-  def incidentMaxSupport(spark: SparkSession, edges: org.apache.spark.sql.DataFrame): org.apache.spark.sql.DataFrame = {
-    val sup = Support.edgeSupports(edges)
-    sup
-      .select(explode(array(col("src"), col("dst"))).as("id"), col("support"))
-      .groupBy("id")
-      .agg(max(col("support")).as("inc"))
+  def incidentMaxSupport(adj: Truss.Adj): Array[Int] = {
+    val inc = new Array[Int](adj.length)
+    Truss.supports(adj).foreach { case (e, s) =>
+      val a = (e >>> 32).toInt; val b = (e & 0xffffffffL).toInt
+      inc(a) = inc(a) max s; inc(b) = inc(b) max s
+    }
+    inc
   }
 
-  /** Collect [[incidentMaxSupport]] into a dense array (0 for isolated). */
-  def incidentMaxSupportArray(spark: SparkSession, edges: org.apache.spark.sql.DataFrame, n: Int): Array[Int] = {
-    val arr = new Array[Int](n)
-    incidentMaxSupport(spark, edges).collect().foreach { r =>
-      arr(r.getLong(0).toInt) = r.getLong(1).toInt
-    }
-    arr
+  /** [[incidentMaxSupport]] of every (src, dst) row of `edges`, symmetrised,
+    * deduplicated and without self loops; `spark` is unused.
+    */
+  def incidentMaxSupportArray(spark: SparkSession, edges: DataFrame, n: Int): Array[Int] = {
+    val pairs = edges.select("src", "dst").collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
+    incidentMaxSupport(Truss.adjacency(n, pairs))
   }
 
   /** The aggregates of vertex `v` for all radii — the per-vertex unit of
@@ -110,7 +109,7 @@ object Precompute {
   def offline(
       spark: SparkSession,
       g: GraphData,
-      edges: org.apache.spark.sql.DataFrame,
+      edges: DataFrame,
       rMax: Int,
       thetaGrid: Array[Double] = DefaultThetaGrid): Array[VertexAgg] = {
     val bcG = spark.sparkContext.broadcast(g)

@@ -100,20 +100,10 @@ object TestGraphs {
     best.toMap
   }
 
-  /** Max incident whole-graph edge support per vertex (local reference for
-    * [[repro.index.Precompute.incidentMaxSupportArray]]).
+  /** Max incident whole-graph edge support per vertex, for the Spark-free
+    * tests (the Spark join reference is in `PrecomputeSparkSpec`).
     */
-  def localIncSup(g: GraphData): Array[Int] = {
-    val adj = adjOf(g)
-    val sup = Truss.supports(adj)
-    val inc = new Array[Int](g.n)
-    sup.foreach { case (e, s) =>
-      val a = (e >>> 32).toInt; val b = (e & 0xffffffffL).toInt
-      if (s > inc(a)) inc(a) = s
-      if (s > inc(b)) inc(b) = s
-    }
-    inc
-  }
+  def localIncSup(g: GraphData): Array[Int] = repro.index.Precompute.incidentMaxSupport(adjOf(g))
 
   /** Ground-truth TopL-ICDE by exhaustive center enumeration (no index, no
     * pruning, driver-local): the multiset of the L highest influential

@@ -1,20 +1,41 @@
 package repro.index
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
+import repro.SparkSpec
 import repro.graph.{GraphGen, SocialGraph}
-import repro.{SparkSpec, TestGraphs}
+import repro.truss.Support
 
 /** The distributed offline phase (Spark mapPartitions over broadcast
   * graph) must equal the driver-local per-vertex computation, and the
-  * distributed incident-support array must equal the local one.
+  * local incident-support array must equal the one from the Spark
+  * triangle join.
   */
 class PrecomputeSparkSpec extends SparkSpec {
 
   private lazy val gf = GraphGen.nws(spark, 220, seed = 17L)
   private lazy val gd = SocialGraph.toGraphData(gf)
 
+  /** Per-vertex max of [[Support.edgeSupports]] (0 for isolated). */
+  private def joinIncSup(edges: DataFrame, n: Int): Seq[Int] = {
+    val inc = new Array[Int](n)
+    Support.edgeSupports(edges)
+      .select(explode(array(col("src"), col("dst"))).as("id"), col("support"))
+      .groupBy("id").agg(max(col("support")))
+      .collect().foreach(r => inc(r.getLong(0).toInt) = r.getLong(1).toInt)
+    inc.toSeq
+  }
+
   test("incidentMaxSupportArray equals the local reference") {
-    val dist = Precompute.incidentMaxSupportArray(spark, gf.edges, gd.n)
-    assert(dist.toSeq == TestGraphs.localIncSup(gd).toSeq)
+    val local = Precompute.incidentMaxSupportArray(spark, gf.edges, gd.n)
+    assert(local.toSeq == joinIncSup(gf.edges, gd.n))
+    // raw rows: (0,1) twice and once as (1,0), a (3,3) self loop, and
+    // (1,2), (2,0), (2,3) each stated in one direction only
+    import spark.implicits._
+    val raw = Seq((0L, 1L), (1L, 0L), (0L, 1L), (1L, 2L), (2L, 0L), (2L, 3L), (3L, 3L)).toDF("src", "dst")
+    val rawLocal = Precompute.incidentMaxSupportArray(spark, raw, 5)
+    assert(rawLocal.toSeq == joinIncSup(raw, 5))
+    assert(rawLocal.toSeq == Seq(1, 1, 1, 0, 0))
   }
 
   test("distributed run equals local per-vertex aggregates (all radii, all θ_z)") {

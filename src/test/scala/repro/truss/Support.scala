@@ -4,10 +4,11 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Distributed edge-support computation (triangle counting) over the
-  * DataFrame edge representation — the offline, whole-graph pass that
-  * yields the paper's support upper bounds `ub_sup(e)`: the support of an
-  * edge in the full data graph G upper-bounds its support in any subgraph
-  * g ⊆ G (paper §IV-B discussion).
+  * DataFrame edge representation — an independent reference for the
+  * local whole-graph pass that yields the paper's support upper bounds
+  * `ub_sup(e)` ([[repro.index.Precompute.incidentMaxSupport]]): the support
+  * of an edge in the full data graph G upper-bounds its support in any
+  * subgraph g ⊆ G (paper §IV-B discussion).
   */
 object Support {
 
