@@ -5,8 +5,6 @@ import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.graph.GraphData
 import repro.influence.MIA
 
-import scala.collection.mutable
-
 /** Index-free, pruning-free TopL-ICDE: score EVERY vertex as a candidate
   * center and rank. This is the exact ground truth the pruned algorithm
   * must match (the pruning lemmas are all safe), implemented as a
@@ -34,15 +32,15 @@ object BruteForce {
       }
   }
 
-  /** Exact top-L: collect candidates, deduplicate by vertex set (several
-    * centers can induce the same community), keep the L highest σ.
+  /** Exact top-L: collect candidates and rank them through
+    * [[Community.Best]] in center order, so a community induced by several
+    * centers (the same vertex set) reports its smallest center. Only the
+    * L answers are rescored for their cpp maps.
     */
   def topL(spark: SparkSession, bcG: Broadcast[GraphData], q: Query): Seq[Community] = {
-    val all = candidates(spark, bcG, q).collect()
-    val bySig = mutable.LinkedHashMap[String, Cand]()
-    all.sortBy(c => (-c.sigma, c.center)).foreach { c =>
-      bySig.getOrElseUpdate(Community.key(c.vertices), c)
-    }
-    bySig.values.take(q.L).toSeq.map(c => Community.scored(bcG.value, c.center, c.vertices, q.theta))
+    val best = new Community.Best(q.L)
+    candidates(spark, bcG, q).collect().sortBy(_.center)
+      .foreach(c => best.offer(Community(c.center, c.vertices, c.sigma, Map.empty)))
+    best.answers.map(c => Community.scored(bcG.value, c.center, c.vertices, q.theta))
   }
 }

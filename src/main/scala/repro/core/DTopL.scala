@@ -26,9 +26,7 @@ object DTopL {
   /** D(S) of Eq. (6), from the candidates' (θ-thresholded) cpp maps. */
   def diversity(sel: Iterable[Community]): Double = {
     val cover = mutable.HashMap[Int, Double]()
-    sel.foreach(_.cpp.foreach { case (v, p) =>
-      if (p > cover.getOrElse(v, 0.0)) cover(v) = p
-    })
+    sel.foreach(absorb(cover, _))
     var s = 0.0
     cover.valuesIterator.foreach(s += _)
     s

@@ -6,7 +6,7 @@ import repro.index.TreeIndex.{Inner, Leaf, Node, VertexRef}
 import repro.influence.MIA
 import repro.keywords.KeywordBV
 
-import scala.collection.mutable
+import scala.collection.{immutable, mutable}
 
 /** Query parameters of TopL-ICDE (paper Def. 4). */
 final case class Query(
@@ -20,16 +20,15 @@ final case class Query(
   val queryBv: Long = KeywordBV.hashSet(keywords.toSeq)
 }
 
-/** A seed community answer: its center, member vertices, influential score
-  * σ(g), and the cpp map of its influenced community g^Inf (kept for the
-  * DTopL-ICDE diversity computations).
+/** A seed community answer: its center (where it was found, not part of
+  * its identity), sorted member vertices, influential score σ(g), and the
+  * cpp map of its influenced community g^Inf (for DTopL-ICDE diversity).
   */
 final case class Community(
     center: Int,
     vertices: Array[Int],
     sigma: Double,
     cpp: Map[Int, Double]) {
-  def signature: String = Community.key(vertices)
   override def toString: String =
     f"Community(center=$center, |V|=${vertices.length}, σ=$sigma%.3f)"
 }
@@ -37,9 +36,28 @@ final case class Community(
 object Community {
 
   /** Dedup key of a (sorted) vertex set: several centers can induce the
-    * same community.
+    * same community. `ArraySeq` equality and hashing are structural.
     */
-  def key(vertices: Array[Int]): String = vertices.mkString(",")
+  def key(vertices: Array[Int]): immutable.ArraySeq[Int] = immutable.ArraySeq.unsafeWrapArray(vertices)
+
+  /** The answer order of Def. 4: σ descending, then the sorted vertex
+    * array in numeric lexicographic order. Total, so every path agrees.
+    */
+  val Ranking: Ordering[Community] = (a, b) => {
+    val bySigma = java.lang.Double.compare(b.sigma, a.sigma)
+    if (bySigma != 0) bySigma else java.util.Arrays.compare(a.vertices, b.vertices)
+  }
+
+  /** The L best communities offered so far under [[Ranking]]; equal ones
+    * (same σ and vertex set) collapse into the first offered.
+    */
+  final class Best(L: Int) {
+    private val kept = mutable.TreeSet.empty[Community](Ranking)
+    def offer(c: Community): Unit = { kept += c; if (kept.size > L) kept -= kept.last }
+    /** σ of the L-th answer, −∞ until L communities are kept. */
+    def sigmaL: Double = if (kept.size < L) Double.NegativeInfinity else kept.last.sigma
+    def answers: Seq[Community] = kept.toSeq
+  }
 
   /** Score a seed community: MIA expansion of `vertices` to g^Inf. */
   def scored(g: GraphData, center: Int, vertices: Array[Int], theta: Double): Community = {
@@ -97,6 +115,11 @@ object TopLICDE {
     z
   }
 
+  /** Answer `q`: the top L communities under [[Community.Ranking]], each
+    * reporting the first center that refined it. Score pruning and heap
+    * termination cut only bounds strictly below σ_L: a bound equal to σ_L
+    * can still hide a tied community with a smaller vertex array.
+    */
   def run(
       g: GraphData,
       index: Node,
@@ -107,11 +130,8 @@ object TopLICDE {
     val ri = q.r - 1
     require(q.r <= index.agg.rMax, s"index built for r_max=${index.agg.rMax}, query r=${q.r}")
     val zi = thetaZIndex(thetaGrid, q.theta)
-
-    // current top-L candidates, min-heap by σ
-    val top = mutable.PriorityQueue[Community]()(Ordering.by(c => -c.sigma))
-    val seen = mutable.HashSet[String]()
-    def sigmaL: Double = if (top.size >= q.L) top.head.sigma else Double.NegativeInfinity
+    val best = new Community.Best(q.L)
+    val seen = mutable.HashSet[immutable.ArraySeq[Int]]()
 
     def ubSigma(agg: TreeIndex.Agg): Double =
       if (zi >= 0) agg.sigmas(ri)(zi) else Double.PositiveInfinity
@@ -128,7 +148,7 @@ object TopLICDE {
       } else if (cfg.support && agg.ubSup(ri) < q.k - 2) {
         if (vertexLevel) stats.vertexSupportPruned += weight else stats.entriesSupportPruned += weight
         true
-      } else if (cfg.score && top.size >= q.L && ubSigma(agg) <= sigmaL) {
+      } else if (cfg.score && ubSigma(agg) < best.sigmaL) {
         if (vertexLevel) stats.vertexScorePruned += weight else stats.entriesScorePruned += weight
         true
       } else false
@@ -142,11 +162,7 @@ object TopLICDE {
           // dedup BEFORE the σ computation: the same community reached
           // from several of its members is scored once
           if (!seen.add(Community.key(seed.vertices))) stats.duplicates += 1
-          else {
-            val c = Community.scored(g, v.id, seed.vertices, q.theta)
-            if (top.size < q.L) top.enqueue(c)
-            else if (c.sigma > top.head.sigma) { top.dequeue(); top.enqueue(c) }
-          }
+          else best.offer(Community.scored(g, v.id, seed.vertices, q.theta))
       }
     }
 
@@ -155,8 +171,8 @@ object TopLICDE {
     var terminated = false
     while (heap.nonEmpty && !terminated) {
       val (key, node) = heap.dequeue()
-      if (cfg.score && top.size >= q.L && key <= sigmaL) {
-        // every remaining entry's bound is ≤ σ_L: stop (Alg. 3 lines 7–8);
+      if (cfg.score && key < best.sigmaL) {
+        // every remaining entry's bound is < σ_L: stop (Alg. 3 lines 7–8);
         // count every candidate under the cut-off heap entries
         stats.heapTerminated += node.size.toLong + heap.iterator.map(_._2.size.toLong).sum
         terminated = true
@@ -177,6 +193,6 @@ object TopLICDE {
           }
       }
     }
-    TopLResult(top.toSeq.sortBy(c => (-c.sigma, c.signature)), stats)
+    TopLResult(best.answers, stats)
   }
 }

@@ -87,8 +87,6 @@ object Experiments {
     (runs.last._1, sorted(sorted.length / 2))
   }
 
-  def fmt(ms: Double): String = f"$ms%10.1f"
-
   // ---- Table II: dataset statistics ---------------------------------------
   final case class DatasetRow(name: String, nV: Long, nE: Long)
 
@@ -161,10 +159,13 @@ object Experiments {
   // ---- Fig. 3(h): scalability in |V| --------------------------------------
   final case class ScaleRow(graph: String, n: Long, offlineMs: Double, onlineMs: Double, answers: Int)
 
+  /** The Uni graph of |V| = n that Fig. 3(h) and Fig. 6(d) share. */
+  private def uniBuilt(spark: SparkSession, n: Long): Pipeline.Built =
+    buildCached(spark, s"Uni-n$n", GraphGen.nws(spark, n, KwDist.Uniform, DefaultW, DefaultSigmaDomain, seed = 42L))
+
   def fig3h(spark: SparkSession, sizes: Seq[Long] = ScaleSweep): Seq[ScaleRow] =
     sizes.map { n =>
-      val gf = GraphGen.nws(spark, n, KwDist.Uniform, DefaultW, DefaultSigmaDomain, seed = 42L)
-      val built = buildCached(spark, s"Uni-n$n", gf)
+      val built = uniBuilt(spark, n)
       val (res, ms) = timeMs(built.topL(query()))
       ScaleRow("Uni", n, built.offlineMillis.toDouble, ms, res.communities.size)
     }
@@ -278,10 +279,7 @@ object Experiments {
   /** Fig. 6(d): DTopL scalability in |V| (reuses the Fig. 3h builds). */
   def fig6d(spark: SparkSession, sizes: Seq[Long] = ScaleSweep): Seq[Fig6Row] =
     sizes.map { n =>
-      val gf = GraphGen.nws(spark, n, KwDist.Uniform, DefaultW, DefaultSigmaDomain, seed = 42L)
-      val built = buildCached(spark, s"Uni-n$n", gf)
-      val q = query()
-      val (res, ms) = timeMs(built.dTopL(q, DefaultNDiv))
+      val (res, ms) = timeMs(uniBuilt(spark, n).dTopL(query(), DefaultNDiv))
       Fig6Row("Uni", "|V|", n.toString, ms, 0.0, 0.0, res.score, 0.0)
     }
 

@@ -1,7 +1,6 @@
 package repro.graph
 
-import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row}
 import repro.keywords.KeywordBV
 
 import scala.collection.mutable
@@ -137,10 +136,6 @@ object SocialGraph {
     }
     GraphData(n, offsets, neigh, weight, keywords, kwMask)
   }
-
-  /** Broadcast the compact graph to executors. */
-  def broadcast(spark: SparkSession, g: GraphData): Broadcast[GraphData] =
-    spark.sparkContext.broadcast(g)
 
   /** Build a small [[GraphData]] directly from edge/keyword lists (tests).
     *

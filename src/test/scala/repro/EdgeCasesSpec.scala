@@ -108,11 +108,11 @@ class EdgeCasesSpec extends AnyFunSuite {
     assert(dist.max == 2)
   }
 
-  test("Community.signature distinguishes different vertex sets only") {
+  test("Community.key distinguishes different vertex sets only") {
     val a = Community(0, Array(1, 2, 3), 5.0, Map.empty)
     val b = Community(9, Array(1, 2, 3), 5.0, Map.empty)
     val c = Community(0, Array(1, 2, 4), 5.0, Map.empty)
-    assert(a.signature == b.signature)
-    assert(a.signature != c.signature)
+    assert(Community.key(a.vertices) == Community.key(b.vertices))
+    assert(Community.key(a.vertices) != Community.key(c.vertices))
   }
 }

@@ -106,19 +106,75 @@ object TestGraphs {
   def localIncSup(g: GraphData): Array[Int] = repro.index.Precompute.incidentMaxSupport(adjOf(g))
 
   /** Ground-truth TopL-ICDE by exhaustive center enumeration (no index, no
-    * pruning, driver-local): the multiset of the L highest influential
-    * scores over deduplicated seed communities.
+    * pruning, no Spark): the L best deduplicated seed communities as
+    * (σ, sorted vertex list), ranked by σ descending, then the vertex list
+    * in lexicographic order. The comparator is written out here, apart
+    * from `Community.Ranking`.
     */
-  def refTopLSigmas(g: GraphData, q: repro.core.Query): Seq[Double] = {
-    val bySig = mutable.HashMap[String, Double]()
+  def refTopL(g: GraphData, q: repro.core.Query): Seq[(Double, Seq[Int])] = {
+    val sigmaOf = mutable.HashMap[List[Int], Double]()
     (0 until g.n).foreach { v =>
       repro.core.SeedExtract.extract(g, v, q.r, q.k, q.keywords).foreach { seed =>
-        bySig(seed.vertices.mkString(",")) =
-          repro.influence.MIA.sigma(g, seed.vertices, q.theta)
+        sigmaOf(seed.vertices.toList) = repro.influence.MIA.sigma(g, seed.vertices, q.theta)
       }
     }
-    bySig.values.toSeq.sortBy(-_).take(q.L)
+    def before(a: List[Int], b: List[Int]): Boolean = (a, b) match {
+      case (x :: xs, y :: ys) => x < y || (x == y && before(xs, ys))
+      case (Nil, _ :: _) => true
+      case _ => false
+    }
+    sigmaOf.toSeq
+      .sortWith { case ((va, sa), (vb, sb)) => sa > sb || (sa == sb && before(va, vb)) }
+      .take(q.L)
+      .map { case (vs, s) => (s, vs) }
   }
+
+  /** The σ column of [[refTopL]]. */
+  def refTopLSigmas(g: GraphData, q: repro.core.Query): Seq[Double] = refTopL(g, q).map(_._1)
+
+  /** Answers as the (σ, sorted vertex list) pairs [[refTopL]] returns. */
+  def ranked(cs: Seq[repro.core.Community]): Seq[(Double, Seq[Int])] =
+    cs.map(c => (c.sigma, c.vertices.toList))
+
+  /** Same answers in the same order: σ within 1e-9, vertex lists equal. */
+  def assertSameAnswers(got: Seq[(Double, Seq[Int])], want: Seq[(Double, Seq[Int])], clue: String = ""): Unit = {
+    assert(got.size == want.size, s"$clue answer count: got=$got want=$want")
+    got.zip(want).foreach { case ((sa, va), (sb, vb)) =>
+      assert(math.abs(sa - sb) < 1e-9 && va == vb, s"$clue got=$got want=$want")
+    }
+  }
+
+  /** Tree index built locally (no Spark) over the default θ grid. */
+  def localIndex(g: GraphData, rMax: Int, fanout: Int = 4): repro.index.TreeIndex.Node = {
+    import repro.index.{Precompute, TreeIndex}
+    val inc = localIncSup(g)
+    val rows = (0 until g.n).flatMap(v =>
+      Precompute.localVertexAggs(g, inc, v, rMax, Precompute.DefaultThetaGrid)).toArray
+    TreeIndex.build(rows, fanout)
+  }
+
+  /** Disjoint cliques K_m, each `(offset, m, pendant)`: vertices offset …
+    * offset+m−1, uniform weight 0.5, keyword {0}. With `pendant` a vertex
+    * offset+m with keyword {1} hangs off `offset`, p(offset→offset+m) =
+    * 0.05. Every other vertex is isolated with keyword {0}. Copies of one
+    * size tie on σ under query keywords {0}.
+    */
+  def cliques(n: Int, copies: Seq[(Int, Int, Boolean)]): GraphData = {
+    val edges = copies.flatMap { case (o, m, pendant) =>
+      (for { u <- o until o + m; v <- (u + 1) until o + m } yield (u, v)) ++
+        (if (pendant) Seq((o, o + m)) else Nil)
+    }
+    val pendants = copies.collect { case (o, m, true) => o + m }
+    SocialGraph.fromEdges(n, edges,
+      keywords = pendants.map(_ -> Seq(1)).toMap,
+      directedWeights = copies.collect { case (o, m, true) => (o, o + m) -> 0.05 }.toMap)
+  }
+
+  /** Tie fixture: two K4s on {4..7} and {10..13}, pendant 14 off vertex 10.
+    * At Q = {0}, k = 3, r = 1, θ = 0.2 both K4s have σ = 4, so the answer
+    * order alone decides that {4,5,6,7} comes first.
+    */
+  def twoK4Tie(): GraphData = cliques(15, Seq((4, 4, false), (10, 4, true)))
 
   /** Reference hop distances by Floyd–Warshall-free BFS per vertex. */
   def refDist(g: GraphData, source: Int): Map[Int, Int] = {

@@ -1,14 +1,15 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.graph.{GraphGen, SocialGraph}
+import org.scalacheck.Gen
+import repro.graph.{GraphData, GraphGen, SocialGraph}
 import repro.index.{Precompute, TreeIndex}
-import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.{MiniChecks, Oracle, SparkSpec, TestGraphs}
 
 /** Distributed brute-force scan vs local enumeration, the full pipeline on
   * a generated graph, and DuckDB oracle checks of the ranking dataflow.
   */
-class BruteForceSparkSpec extends SparkSpec {
+class BruteForceSparkSpec extends SparkSpec with MiniChecks {
 
   private lazy val gf = GraphGen.nws(spark, 300, GraphGen.KwDist.Uniform, 3, 20, seed = 13L)
   private lazy val gd = SocialGraph.toGraphData(gf)
@@ -30,18 +31,55 @@ class BruteForceSparkSpec extends SparkSpec {
   }
 
   test("BruteForce.topL equals refTopLSigmas") {
-    val got = BruteForce.topL(spark, bcG, q).map(_.sigma)
-    val want = TestGraphs.refTopLSigmas(gd, q)
-    assert(got.size == want.size)
-    got.zip(want).foreach { case (a, b) => assert(math.abs(a - b) < 1e-9) }
+    val got = BruteForce.topL(spark, bcG, q)
+    TestGraphs.assertSameAnswers(TestGraphs.ranked(got), TestGraphs.refTopL(gd, q))
   }
 
   test("full pipeline (Spark offline + index + Alg. 3) equals distributed brute force") {
     val built = Pipeline.build(spark, gf, rMax = 2)
     val res = built.topL(q)
-    val want = BruteForce.topL(spark, bcG, q).map(_.sigma)
-    assert(res.communities.map(_.sigma).size == want.size)
-    res.communities.map(_.sigma).zip(want).foreach { case (a, b) => assert(math.abs(a - b) < 1e-9) }
+    val want = BruteForce.topL(spark, bcG, q)
+    TestGraphs.assertSameAnswers(TestGraphs.ranked(res.communities), TestGraphs.ranked(want))
+  }
+
+  /** Alg. 3 (local index), ATindex, BruteForce and refTopL on `g`. */
+  private def everyPath(g: GraphData, q: Query, fanout: Int = 4): Seq[(String, Seq[(Double, Seq[Int])])] = {
+    val bc = spark.sparkContext.broadcast(g)
+    try Seq(
+      "Alg. 3" -> TestGraphs.ranked(
+        TopLICDE.run(g, TestGraphs.localIndex(g, 2, fanout), Precompute.DefaultThetaGrid, q).communities),
+      "ATindex" -> TestGraphs.ranked(ATindex.query(g, ATindex.offline(g), q)._1),
+      "BruteForce" -> TestGraphs.ranked(BruteForce.topL(spark, bc, q)),
+      "refTopL" -> TestGraphs.refTopL(g, q))
+    finally bc.destroy()
+  }
+
+  test("tied σ: every path ranks {4..7} before {10..13}") {
+    val g = TestGraphs.twoK4Tie()
+    val (a, b) = (Seq(4, 5, 6, 7), Seq(10, 11, 12, 13))
+    Seq(1 -> Seq(a), 2 -> Seq(a, b)).foreach { case (l, want) =>
+      everyPath(g, Query(Array(0), 3, 1, 0.2, l)).foreach { case (path, got) =>
+        assert(got == want.map(4.0 -> _), s"$path at L = $l")
+      }
+    }
+  }
+
+  test("property: tied cliques get the same answers on every path") {
+    val copy = Gen.zip(Gen.chooseNum(3, 5), Gen.chooseNum(0, 4), Gen.oneOf(true, false))
+    val gen = Gen.zip(Gen.listOfN(4, copy), Gen.chooseNum(1, 5), Gen.chooseNum(1, 2),
+      Gen.oneOf(0.1, 0.2, 0.3), Gen.oneOf(2, 16))
+    forAllN(gen, n = 25) { case (spec, l, r, theta, fanout) =>
+      // lay the copies out left to right, each after a random gap
+      val copies = spec.scanLeft((0, 0, false)) { case ((o, m, p), (m2, gap, p2)) =>
+        (o + m + (if (p) 1 else 0) + gap, m2, p2)
+      }.tail
+      val (o, m, p) = copies.last
+      val g = TestGraphs.cliques(o + m + (if (p) 1 else 0) + 2, copies)
+      val paths = everyPath(g, Query(Array(0), 3, r, theta, l), fanout)
+      paths.foreach { case (path, got) =>
+        TestGraphs.assertSameAnswers(got, paths.last._2, path)
+      }
+    }
   }
 
   test("oracle: top-L ranking of the candidate table matches DuckDB") {

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
-import repro.index.{Precompute, TreeIndex}
+import repro.index.Precompute
 import repro.{MiniChecks, TestGraphs}
 
 /** End-to-end correctness of the pruned, index-driven Algorithm 3: it must
@@ -13,19 +13,9 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
 
   private val grid = Precompute.DefaultThetaGrid
 
-  private def buildIndex(g: repro.graph.GraphData, rMax: Int, fanout: Int = 4): TreeIndex.Node = {
-    val inc = TestGraphs.localIncSup(g)
-    val rows = (0 until g.n).flatMap(v =>
-      Precompute.localVertexAggs(g, inc, v, rMax, grid)).toArray
-    TreeIndex.build(rows, fanout)
-  }
-
   private def sigmas(res: TopLResult): Seq[Double] = res.communities.map(_.sigma)
 
-  private def assertSameSigmas(got: Seq[Double], want: Seq[Double]): Unit = {
-    assert(got.size == want.size, s"answer count: got=$got want=$want")
-    got.zip(want).foreach { case (a, b) => assert(math.abs(a - b) < 1e-9, s"got=$got want=$want") }
-  }
+  private def answers(res: TopLResult): Seq[(Double, Seq[Int])] = TestGraphs.ranked(res.communities)
 
   test("thetaZIndex picks the largest grid value <= θ") {
     assert(TopLICDE.thetaZIndex(grid, 0.2) == 1)
@@ -38,7 +28,7 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
 
   test("answers are sorted by σ descending") {
     val g = TestGraphs.random(30, 0.25, sigma = 4, seed = 5L)
-    val res = TopLICDE.run(g, buildIndex(g, 2), grid, Query(Array(0, 1), 3, 2, 0.2, 4))
+    val res = TopLICDE.run(g, TestGraphs.localIndex(g, 2), grid, Query(Array(0, 1), 3, 2, 0.2, 4))
     val s = sigmas(res)
     assert(s == s.sortBy(-(_: Double)))
   }
@@ -54,9 +44,9 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
     forAllN(gen, n = 100) { case (n, seed, k, r, theta, l) =>
       val g = TestGraphs.random(n, 0.3, sigma = 5, kwPerVertex = 2, seed = seed.toLong)
       val q = Query(Array(0, 1, 2), k, r, theta, l)
-      val want = TestGraphs.refTopLSigmas(g, q)
-      val got = sigmas(TopLICDE.run(g, buildIndex(g, 2), grid, q))
-      assertSameSigmas(got, want)
+      val want = TestGraphs.refTopL(g, q)
+      val got = answers(TopLICDE.run(g, TestGraphs.localIndex(g, 2), grid, q))
+      TestGraphs.assertSameAnswers(got, want)
     }
   }
 
@@ -70,11 +60,11 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
       PruningConfig(false, true, false))
     forAllN2(Gen.chooseNum(8, 30), Gen.chooseNum(1, 40), n = 40) { (n, seed) =>
       val g = TestGraphs.random(n, 0.3, sigma = 5, seed = seed.toLong)
-      val idx = buildIndex(g, 2)
+      val idx = TestGraphs.localIndex(g, 2)
       val q = Query(Array(0, 1), 3, 2, 0.2, 3)
-      val base = sigmas(TopLICDE.run(g, idx, grid, q, configs.head))
-      configs.tail.foreach { cfg =>
-        assertSameSigmas(sigmas(TopLICDE.run(g, idx, grid, q, cfg)), base)
+      val want = TestGraphs.refTopL(g, q)
+      configs.foreach { cfg =>
+        TestGraphs.assertSameAnswers(answers(TopLICDE.run(g, idx, grid, q, cfg)), want, cfg.toString)
       }
     }
   }
@@ -83,8 +73,8 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
     forAllN2(Gen.chooseNum(8, 25), Gen.chooseNum(1, 30), n = 30) { (n, seed) =>
       val g = TestGraphs.random(n, 0.3, sigma = 5, seed = seed.toLong)
       val q = Query(Array(0, 1), 3, 2, 0.05, 3)
-      val want = TestGraphs.refTopLSigmas(g, q)
-      assertSameSigmas(sigmas(TopLICDE.run(g, buildIndex(g, 2), grid, q)), want)
+      val want = TestGraphs.refTopL(g, q)
+      TestGraphs.assertSameAnswers(answers(TopLICDE.run(g, TestGraphs.localIndex(g, 2), grid, q)), want)
     }
   }
 
@@ -92,14 +82,14 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
     forAllN2(Gen.chooseNum(8, 25), Gen.chooseNum(1, 30), n = 30) { (n, seed) =>
       val g = TestGraphs.random(n, 0.3, sigma = 5, seed = seed.toLong)
       val q = Query(Array(0, 1), 3, 2, 0.27, 3)
-      val want = TestGraphs.refTopLSigmas(g, q)
-      assertSameSigmas(sigmas(TopLICDE.run(g, buildIndex(g, 2), grid, q)), want)
+      val want = TestGraphs.refTopL(g, q)
+      TestGraphs.assertSameAnswers(answers(TopLICDE.run(g, TestGraphs.localIndex(g, 2), grid, q)), want)
     }
   }
 
   test("no matching keyword anywhere: empty answer, everything pruned") {
     val g = TestGraphs.random(25, 0.3, sigma = 4, seed = 3L)
-    val res = TopLICDE.run(g, buildIndex(g, 2), grid, Query(Array(99), 3, 2, 0.2, 3))
+    val res = TopLICDE.run(g, TestGraphs.localIndex(g, 2), grid, Query(Array(99), 3, 2, 0.2, 3))
     assert(res.communities.isEmpty)
     assert(res.stats.refined == 0)
     assert(res.stats.entriesKeywordPruned + res.stats.vertexKeywordPruned > 0)
@@ -107,7 +97,7 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
 
   test("k larger than any truss: empty answer via support pruning") {
     val g = TestGraphs.random(20, 0.15, sigma = 4, seed = 9L) // sparse, few triangles
-    val res = TopLICDE.run(g, buildIndex(g, 2), grid, Query(Array(0, 1, 2, 3), 30, 2, 0.2, 3))
+    val res = TopLICDE.run(g, TestGraphs.localIndex(g, 2), grid, Query(Array(0, 1, 2, 3), 30, 2, 0.2, 3))
     assert(res.communities.isEmpty)
     assert(res.stats.entriesSupportPruned + res.stats.vertexSupportPruned > 0)
   }
@@ -115,13 +105,13 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
   test("L larger than the number of communities returns all of them") {
     val g = TestGraphs.random(20, 0.3, sigma = 3, seed = 11L)
     val q = Query(Array(0, 1, 2), 3, 2, 0.2, 1000)
-    val want = TestGraphs.refTopLSigmas(g, q)
-    assertSameSigmas(sigmas(TopLICDE.run(g, buildIndex(g, 2), grid, q)), want)
+    val want = TestGraphs.refTopL(g, q)
+    TestGraphs.assertSameAnswers(answers(TopLICDE.run(g, TestGraphs.localIndex(g, 2), grid, q)), want)
   }
 
   test("duplicate communities (same vertex set from different centers) are deduplicated") {
     val g = TestGraphs.clique(6) // every center induces the same community
-    val res = TopLICDE.run(g, buildIndex(g, 2), grid, Query(Array(0), 4, 2, 0.2, 5))
+    val res = TopLICDE.run(g, TestGraphs.localIndex(g, 2), grid, Query(Array(0), 4, 2, 0.2, 5))
     assert(res.communities.size == 1)
     assert(res.stats.duplicates == 5)
   }
@@ -129,7 +119,7 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
   test("pruning statistics: more pruning never refines more candidates") {
     forAllN2(Gen.chooseNum(10, 30), Gen.chooseNum(1, 30), n = 30) { (n, seed) =>
       val g = TestGraphs.random(n, 0.3, sigma = 5, seed = seed.toLong)
-      val idx = buildIndex(g, 2)
+      val idx = TestGraphs.localIndex(g, 2)
       val q = Query(Array(0, 1), 3, 2, 0.2, 2)
       val none = TopLICDE.run(g, idx, grid, q, PruningConfig(false, false, false))
       val all = TopLICDE.run(g, idx, grid, q, PruningConfig(true, true, true))
@@ -140,7 +130,7 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
 
   test("score pruning engages on graphs with many communities") {
     val g = TestGraphs.random(60, 0.2, sigma = 3, kwPerVertex = 2, seed = 21L)
-    val idx = buildIndex(g, 2)
+    val idx = TestGraphs.localIndex(g, 2)
     val q = Query(Array(0, 1, 2), 3, 2, 0.2, 1)
     val res = TopLICDE.run(g, idx, grid, q)
     // with L = 1 and θ on the grid, the σ_z bound is tight enough to cut work
@@ -151,7 +141,7 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
   test("query r beyond the index r_max is rejected") {
     val g = TestGraphs.random(15, 0.3, seed = 2L)
     intercept[IllegalArgumentException] {
-      TopLICDE.run(g, buildIndex(g, 2), grid, Query(Array(0), 3, 3, 0.2, 2))
+      TopLICDE.run(g, TestGraphs.localIndex(g, 2), grid, Query(Array(0), 3, 3, 0.2, 2))
     }
   }
 
@@ -159,9 +149,9 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
     forAllN2(Gen.chooseNum(10, 30), Gen.chooseNum(1, 20), n = 20) { (n, seed) =>
       val g = TestGraphs.random(n, 0.3, sigma = 5, seed = seed.toLong)
       val q = Query(Array(0, 1), 3, 2, 0.2, 3)
-      val a = sigmas(TopLICDE.run(g, buildIndex(g, 2, fanout = 2), grid, q))
-      val b = sigmas(TopLICDE.run(g, buildIndex(g, 2, fanout = 16), grid, q))
-      assertSameSigmas(a, b)
+      val a = answers(TopLICDE.run(g, TestGraphs.localIndex(g, 2, fanout = 2), grid, q))
+      val b = answers(TopLICDE.run(g, TestGraphs.localIndex(g, 2, fanout = 16), grid, q))
+      TestGraphs.assertSameAnswers(a, b)
     }
   }
 }
