@@ -3,8 +3,6 @@ package repro.core
 import repro.graph.GraphData
 import repro.truss.Truss
 
-import scala.collection.mutable
-
 /** The ATindex baseline (paper §VIII-A "Competitors"), built on the
   * state-of-the-art (k,d)-truss community search of Huang & Lakshmanan
   * [22]: offline, index the trussness of every edge/vertex of G; online,
@@ -21,22 +19,12 @@ object ATindex {
     */
   final case class Offline(vertexTrussness: Array[Int])
 
-  /** Offline phase: full truss decomposition of G. */
+  /** Offline phase: full truss decomposition of G, over G's own sorted
+    * CSR rows.
+    */
   def offline(g: GraphData): Offline = {
-    val adj: Truss.Adj = Array.fill(g.n)(mutable.HashSet[Int]())
-    var v = 0
-    while (v < g.n) {
-      g.foreachNeighbor(v) { (u, _) => adj(v) += u }
-      v += 1
-    }
-    val tn = Truss.trussness(adj)
-    val vt = new Array[Int](g.n)
-    tn.foreach { case (e, t) =>
-      val a = (e >>> 32).toInt; val b = (e & 0xffffffffL).toInt
-      if (t > vt(a)) vt(a) = t
-      if (t > vt(b)) vt(b) = t
-    }
-    Offline(vt)
+    val rows = Truss.Rows(g.offsets, g.neigh)
+    Offline(rows.rowMax(Truss.trussness(rows, rows.allAlive)))
   }
 
   /** Online phase, exactly as the paper describes the baseline: every
@@ -60,11 +48,13 @@ object ATindex {
         if (g.matchesQuery(v, q.keywords))
           SeedExtract.extract(g, v, q.r, q.k, q.keywords)
             .foreach(seed => best.offer(Community.scored(g, v, seed.vertices, q.theta)))
-        else
+        else {
           // the paper's baseline extracts and peels the keyword-filtered
           // ball before it finds that the center itself disqualifies; that
           // cost is part of what Fig. 2 measures
-          Truss.kTrussPeel(SeedExtract.filteredBall(g, v, q.r, q.keywords)._2, q.k)
+          val rows = SeedExtract.filteredBall(g, v, q.r, q.keywords)._2
+          Truss.kTrussPeel(rows, rows.allAlive, q.k)
+        }
       }
       v += 1
     }

@@ -32,7 +32,8 @@ object Pipeline {
     }
   }
 
-  /** Run the offline phase: local edge supports + partition-parallel
+  /** Run the offline phase: collect the CSR graph (the one read of the
+    * edges), local edge supports over its rows + partition-parallel
     * per-vertex aggregates, then index construction.
     */
   def build(
@@ -42,7 +43,7 @@ object Pipeline {
       thetaGrid: Array[Double] = Precompute.DefaultThetaGrid): Built = {
     val t0 = System.nanoTime()
     val g = SocialGraph.toGraphData(gf)
-    val rows = Precompute.offline(spark, g, gf.edges, rMax, thetaGrid)
+    val rows = Precompute.offline(spark, g, rMax, thetaGrid)
     val index = TreeIndex.build(rows)
     Built(g, index, thetaGrid, rMax, (System.nanoTime() - t0) / 1000000L)
   }

@@ -3,8 +3,6 @@ package repro.core
 import repro.graph.GraphData
 import repro.truss.Truss
 
-import scala.collection.mutable
-
 /** Extraction of the seed community of a candidate center (paper Def. 2,
   * used at Alg. 3 line 12 and by both baselines).
   *
@@ -17,7 +15,9 @@ import scala.collection.mutable
   * under union), so each center yields at most one candidate; removing
   * radius-violating vertices can break trussness and vice versa, so we
   * iterate peel → BFS radius/reachability filter to a fixpoint (each
-  * round strictly shrinks the vertex set, so it terminates).
+  * round strictly shrinks the vertex set, so it terminates). The ball's
+  * sorted rows keep the global vertex order, so the community comes out
+  * sorted.
   *
   * For k ≥ 3 the center must keep at least one edge in the truss — a
   * community is a group, not an isolated user; for k ≤ 2 (vacuous truss
@@ -27,63 +27,53 @@ import scala.collection.mutable
 object SeedExtract {
 
   /** A seed community as a *subgraph*: its (sorted) global vertex ids and
-    * its undirected edge set (canonical u < v). The edge set matters: a
-    * maximal k-truss is an edge subgraph — the induced graph on its vertex
-    * set may contain peeled-away low-support edges that are NOT part of
-    * the community.
+    * its undirected edge set (canonical u < v, sorted). The edge set
+    * matters: a maximal k-truss is an edge subgraph — the induced graph on
+    * its vertex set may contain peeled-away low-support edges that are NOT
+    * part of the community.
     */
   final case class Seed(vertices: Array[Int], edges: Array[(Int, Int)])
 
   /** The keyword-filtered r-hop ball around `center` (Lemma 1 applied
     * exactly, per Def. 2 bullet 4): the vertices of hop(center, r) that
-    * match a query keyword, in BFS order — so a matching center has local
-    * id 0 — and their induced adjacency over local ids.
+    * match a query keyword, sorted, and their induced sorted rows over
+    * local ids (local id j is global vertex j of the returned array).
     */
-  def filteredBall(g: GraphData, center: Int, r: Int, query: Array[Int]): (Array[Int], Truss.Adj) = {
-    val global = g.hopBall(center, r)._1.filter(g.matchesQuery(_, query))
-    val localOf = new mutable.HashMap[Int, Int]()
-    global.zipWithIndex.foreach { case (v, j) => localOf(v) = j }
-    val adj: Truss.Adj = Array.fill(global.length)(mutable.HashSet[Int]())
-    var j = 0
-    while (j < global.length) {
+  def filteredBall(g: GraphData, center: Int, r: Int, query: Array[Int]): (Array[Int], Truss.Rows) = {
+    val global = g.hopBall(center, r)._1.filter(g.matchesQuery(_, query)).sorted
+    val offsets = new Array[Int](global.length + 1)
+    val neigh = Array.newBuilder[Int]
+    global.indices.foreach { j =>
+      // g's row is sorted and so is `global`: the hits come out in local order
       g.foreachNeighbor(global(j)) { (u, _) =>
-        localOf.get(u).foreach { lu => if (lu != j) { adj(j) += lu; adj(lu) += j } }
+        val lu = java.util.Arrays.binarySearch(global, u)
+        if (lu >= 0) neigh += lu
       }
-      j += 1
+      offsets(j + 1) = neigh.length
     }
-    (global, adj)
+    (global, Truss.Rows(offsets, neigh.result()))
   }
 
   /** @return the seed community of `center`, or None if none exists. */
   def extract(g: GraphData, center: Int, r: Int, k: Int, query: Array[Int]): Option[Seed] = {
     if (!g.matchesQuery(center, query)) return None
-    val (global, adj) = filteredBall(g, center, r, query)
+    val (global, rows) = filteredBall(g, center, r, query)
+    val c = java.util.Arrays.binarySearch(global, center)
+    val alive = rows.allAlive
     var changed = true
     while (changed) {
-      Truss.kTrussPeel(adj, k)
-      if (k >= 3 && adj(0).isEmpty) return None
+      Truss.kTrussPeel(rows, alive, k)
+      if (k >= 3 && rows.degree(alive, c) == 0) return None
       // Def. 2 bullet 2 within the current subgraph: a vertex farther than
       // r from the center, or cut off from it, leaves the community
-      val d = Truss.bfsDist(adj, 0)
+      val d = Truss.bfsDist(rows, alive, c)
       changed = false
-      adj.indices.foreach { v =>
-        if (d(v) > r && adj(v).nonEmpty) {
-          adj(v).foreach(u => adj(u) -= v)
-          adj(v).clear()
-          changed = true
-        }
-      }
+      rows.foreachSlot((v, i) => if (d(v) > r && alive(i)) { rows.cut(alive, i); changed = true })
     }
     // at the fixpoint every vertex with edges is within r of the center
-    val members = adj.indices.filter(v => v == 0 || adj(v).nonEmpty)
-    val edges = (for {
-      u <- members.iterator
-      v <- adj(u).iterator
-      if u < v
-    } yield {
-      val (a, b) = (global(u), global(v))
-      if (a < b) (a, b) else (b, a)
-    }).toArray.sorted
-    Some(Seed(members.map(global).toArray.sorted, edges))
+    val members = (0 until rows.n).filter(v => v == c || rows.degree(alive, v) > 0)
+    val edges = Array.newBuilder[(Int, Int)]
+    rows.foreachSlot((u, i) => if (alive(i) && u < rows.neigh(i)) edges += ((global(u), global(rows.neigh(i)))))
+    Some(Seed(members.map(global).toArray, edges.result()))
   }
 }

@@ -209,9 +209,10 @@ object Experiments {
     val top1 = built.topL(q).communities.head
     // the paper's comparison: a 4-core community around the SAME center,
     // restricted to the same r-hop ball and query keywords (the center
-    // matches the query, so it is local id 0)
-    val (kept, adj) = SeedExtract.filteredBall(g, top1.center, q.r, q.keywords)
-    val core = KCore.kCoreCommunity(adj, 0, q.k).toArray.map(kept).sorted
+    // matches the query, so it is in the ball)
+    val (kept, rows) = SeedExtract.filteredBall(g, top1.center, q.r, q.keywords)
+    val center = java.util.Arrays.binarySearch(kept, top1.center)
+    val core = KCore.kCoreCommunity(rows, center, q.k).toArray.sorted.map(kept)
     val coreCpp = MIA.influencedCpp(g, core, q.theta)
     Seq(
       CaseStudyRow("TopL-ICDE (k-truss)", top1.center, top1.vertices.length, top1.sigma, top1.cpp.size),

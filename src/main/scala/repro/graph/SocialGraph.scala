@@ -134,6 +134,22 @@ object SocialGraph {
       System.arraycopy(ww, 0, weight, from, ww.length)
       i += 1
     }
+    // The ingest boundary: the sorted-row truss kernels need a simple
+    // symmetric structure, and MIA's best-first expansion needs p in (0, 1].
+    i = 0
+    while (i < n) {
+      var s = offsets(i)
+      while (s < offsets(i + 1)) {
+        val d = neigh(s)
+        require(d != i, s"self loop: edge row ($i, $d)")
+        require(s == offsets(i) || neigh(s - 1) != d, s"repeated edge row ($i, $d)")
+        require(java.util.Arrays.binarySearch(neigh, offsets(d), offsets(d + 1), i) >= 0,
+          s"edge row ($i, $d) has no reverse row ($d, $i)")
+        require(weight(s) > 0 && weight(s) <= 1, s"edge row ($i, $d) has weight ${weight(s)} outside (0, 1]")
+        s += 1
+      }
+      i += 1
+    }
     GraphData(n, offsets, neigh, weight, keywords, kwMask)
   }
 

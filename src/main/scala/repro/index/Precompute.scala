@@ -23,7 +23,7 @@ import repro.truss.Truss
   * The per-vertex work runs partition-parallel over vertex ranges with the
   * CSR graph and the incident-support array broadcast ("index over graph
   * partitions"); the incident supports themselves come from one local
-  * neighbour-set intersection pass, [[repro.truss.Truss.supports]].
+  * merge pass over the same CSR's sorted rows, [[repro.truss.Truss.supports]].
   */
 object Precompute {
 
@@ -36,24 +36,20 @@ object Precompute {
   final case class VertexAgg(id: Int, r: Int, bv: Long, ubSup: Int, sigmas: Array[Double])
 
   /** Max whole-graph support of the edges incident to each vertex (0 for
-    * isolated vertices): [[repro.truss.Truss.supports]], folded per endpoint.
+    * isolated vertices): [[repro.truss.Truss.supports]] over G's own sorted
+    * CSR rows, folded per row.
     */
-  def incidentMaxSupport(adj: Truss.Adj): Array[Int] = {
-    val inc = new Array[Int](adj.length)
-    Truss.supports(adj).foreach { case (e, s) =>
-      val a = (e >>> 32).toInt; val b = (e & 0xffffffffL).toInt
-      inc(a) = inc(a) max s; inc(b) = inc(b) max s
-    }
-    inc
-  }
+  def incidentMaxSupport(g: GraphData): Array[Int] = incident(Truss.Rows(g.offsets, g.neigh))
 
   /** [[incidentMaxSupport]] of every (src, dst) row of `edges`, symmetrised,
     * deduplicated and without self loops; `spark` is unused.
     */
   def incidentMaxSupportArray(spark: SparkSession, edges: DataFrame, n: Int): Array[Int] = {
     val pairs = edges.select("src", "dst").collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
-    incidentMaxSupport(Truss.adjacency(n, pairs))
+    incident(Truss.Rows.of(n, pairs))
   }
+
+  private def incident(rows: Truss.Rows): Array[Int] = rows.rowMax(Truss.supports(rows, rows.allAlive))
 
   /** The aggregates of vertex `v` for all radii — the per-vertex unit of
     * work (paper Alg. 2 inner loop), also used directly by tests.
@@ -102,19 +98,16 @@ object Precompute {
       }
   }
 
-  /** Convenience: full offline phase from a [[GraphData]] + its edge
-    * DataFrame, returning the collected per-vertex aggregates ready for
-    * index construction.
+  /** Convenience: full offline phase from a [[GraphData]], returning the
+    * collected per-vertex aggregates ready for index construction.
     */
   def offline(
       spark: SparkSession,
       g: GraphData,
-      edges: DataFrame,
       rMax: Int,
       thetaGrid: Array[Double] = DefaultThetaGrid): Array[VertexAgg] = {
     val bcG = spark.sparkContext.broadcast(g)
-    val inc = incidentMaxSupportArray(spark, edges, g.n)
-    val bcInc = spark.sparkContext.broadcast(inc)
+    val bcInc = spark.sparkContext.broadcast(incidentMaxSupport(g))
     run(spark, bcG, bcInc, rMax, thetaGrid).collect()
   }
 }

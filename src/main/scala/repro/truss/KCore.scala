@@ -1,27 +1,28 @@
 package repro.truss
 
-import scala.collection.mutable
-
 /** k-core peeling [23] — the structural-cohesiveness baseline used by the
   * paper's case study (Fig. 5): the maximal subgraph in which every vertex
-  * has degree ≥ k.
+  * has degree ≥ k. Runs on the same sorted rows as [[Truss]].
   */
 object KCore {
 
-  /** Peel `adj` *in place* to its maximal k-core (possibly empty). */
-  def kCorePeel(adj: Truss.Adj, k: Int): Unit = {
-    val queue = mutable.Queue[Int]()
-    val removed = new Array[Boolean](adj.length)
-    adj.indices.foreach(v => if (adj(v).size < k) queue += v)
-    while (queue.nonEmpty) {
-      val v = queue.dequeue()
+  /** Peel the alive edges *in place* to their maximal k-core (possibly
+    * empty).
+    */
+  def kCorePeel(rows: Truss.Rows, alive: Array[Boolean], k: Int): Unit = {
+    val deg = Array.tabulate(rows.n)(rows.degree(alive, _))
+    val removed = new Array[Boolean](rows.n)
+    var stack = (0 until rows.n).filter(deg(_) < k).toList
+    while (stack.nonEmpty) {
+      val v = stack.head
+      stack = stack.tail
       if (!removed(v)) {
         removed(v) = true
-        val ns = adj(v).toArray
-        adj(v).clear()
-        ns.foreach { u =>
-          adj(u) -= v
-          if (!removed(u) && adj(u).size < k) queue += u
+        (rows.offsets(v) until rows.offsets(v + 1)).filter(alive(_)).foreach { i =>
+          val u = rows.neigh(i)
+          rows.cut(alive, i)
+          deg(u) -= 1
+          if (!removed(u) && deg(u) < k) stack = u :: stack
         }
       }
     }
@@ -31,10 +32,10 @@ object KCore {
     * take the connected component containing `center`. Empty if the center
     * itself was peeled away.
     */
-  def kCoreCommunity(adjIn: Truss.Adj, center: Int, k: Int): Set[Int] = {
-    val adj = Truss.copy(adjIn)
-    kCorePeel(adj, k)
-    if (adj(center).isEmpty) Set.empty
-    else Truss.componentOf(adj, center).toSet
+  def kCoreCommunity(rows: Truss.Rows, center: Int, k: Int): Set[Int] = {
+    val alive = rows.allAlive
+    kCorePeel(rows, alive, k)
+    if (rows.degree(alive, center) == 0) Set.empty
+    else Truss.bfsDist(rows, alive, center).zipWithIndex.collect { case (d, v) if d < Int.MaxValue => v }.toSet
   }
 }

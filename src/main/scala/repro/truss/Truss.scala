@@ -1,142 +1,163 @@
 package repro.truss
 
-import scala.collection.mutable
-
-/** Local (in-memory) k-truss machinery.
-  *
-  * A graph is an adjacency array of hash sets over vertex indices 0 … n−1
-  * (symmetric, no self loops). The per-candidate peeling runs on small
-  * subgraphs (tens to hundreds of vertices) inside the online phase; the
-  * full decomposition ([[trussness]]) runs once per graph for the ATindex
-  * baseline's offline phase — hash sets keep memory proportional to |E|.
+/** Local (in-memory) k-truss machinery over sorted CSR rows, [[Truss.Rows]]:
+  * the whole graph uses `GraphData`'s own `offsets`/`neigh`, and each
+  * keyword-filtered ball builds small rows of its own. Every undirected edge
+  * has two slots, one per row. An edge is removed by clearing both slots in
+  * an `alive` array parallel to `neigh`; supports and trussness are arrays
+  * parallel to `neigh`, equal on both slots.
   *
   * Definitions (paper §II, [16]): the support `sup(e)` of edge e=(u,v) is
-  * the number of triangles containing e, i.e. |N(u) ∩ N(v)|; g is a
-  * k-truss iff every edge has support ≥ k−2.
+  * |N(u) ∩ N(v)|, found by merging the two sorted rows (Wang & Cheng, VLDB
+  * 2012); g is a k-truss iff every edge has support ≥ k−2.
   */
 object Truss {
 
-  /** Adjacency structure: one mutable neighbour set per vertex. */
-  type Adj = Array[mutable.HashSet[Int]]
+  /** Symmetric adjacency rows over vertices 0 … n−1, without self loops:
+    * row v is `neigh(offsets(v) until offsets(v + 1))`, ascending.
+    */
+  final case class Rows(offsets: Array[Int], neigh: Array[Int]) {
+    def n: Int = offsets.length - 1
 
-  /** Pack an undirected edge (canonical u < v) into a Long key. */
-  @inline def key(u: Int, v: Int): Long =
-    if (u < v) (u.toLong << 32) | v else (v.toLong << 32) | u
+    /** f(v, i) for every slot i of row v, rows in ascending order. */
+    @inline def foreachSlot(f: (Int, Int) => Unit): Unit =
+      (0 until n).foreach(v => (offsets(v) until offsets(v + 1)).foreach(f(v, _)))
 
-  def copy(adj: Adj): Adj = adj.map(_.clone())
+    /** rev(i): the slot of the reverse edge of slot i (the vertices that
+      * list v are met in the order row v lists them).
+      */
+    val rev: Array[Int] = {
+      val next = offsets.clone()
+      val out = new Array[Int](neigh.length)
+      foreachSlot { (_, i) => out(i) = next(neigh(i)); next(neigh(i)) += 1 }
+      out
+    }
 
-  /** Build adjacency sets from an undirected edge list on n vertices. */
-  def adjacency(n: Int, edges: Iterable[(Int, Int)]): Adj = {
-    val adj: Adj = Array.fill(n)(mutable.HashSet[Int]())
-    edges.foreach { case (u, v) => if (u != v) { adj(u) += v; adj(v) += u } }
-    adj
+    def allAlive: Array[Boolean] = Array.fill(neigh.length)(true)
+
+    /** Remove the edge of slot i (both of its slots). */
+    def cut(alive: Array[Boolean], i: Int): Unit = { alive(i) = false; alive(rev(i)) = false }
+
+    /** Number of edges still alive at v. */
+    def degree(alive: Array[Boolean], v: Int): Int = (offsets(v) until offsets(v + 1)).count(alive(_))
+
+    /** Per vertex, the max of `vals` over its row (0 for an empty row). */
+    def rowMax(vals: Array[Int]): Array[Int] =
+      Array.tabulate(n)(v => (offsets(v) until offsets(v + 1)).foldLeft(0)((m, i) => m max vals(i)))
   }
 
-  /** Common neighbours of u and v (iterates the smaller set). */
-  def commonNeighbors(adj: Adj, u: Int, v: Int): Iterator[Int] = {
-    val (small, big) = if (adj(u).size <= adj(v).size) (adj(u), adj(v)) else (adj(v), adj(u))
-    small.iterator.filter(big.contains)
+  object Rows {
+
+    /** Rows of an undirected edge list on n vertices: symmetrised,
+      * deduplicated, self loops dropped.
+      */
+    def of(n: Int, pairs: Iterable[(Int, Int)]): Rows = {
+      val packed = pairs.iterator.filter(p => p._1 != p._2)
+        .flatMap { case (u, v) => Iterator((u.toLong << 32) | v, (v.toLong << 32) | u) }.toArray.sorted
+      var m = 0 // packed(0 until m): the distinct prefix
+      packed.foreach(e => if (m == 0 || packed(m - 1) != e) { packed(m) = e; m += 1 })
+      val offsets = new Array[Int](n + 1)
+      (0 until m).foreach(j => offsets((packed(j) >>> 32).toInt + 1) += 1)
+      (0 until n).foreach(v => offsets(v + 1) += offsets(v))
+      Rows(offsets, Array.tabulate(m)(packed(_).toInt))
+    }
   }
 
-  /** Support of every edge (packed u<v keys) in the graph. */
-  def supports(adj: Adj): mutable.HashMap[Long, Int] = {
-    val sup = mutable.HashMap[Long, Int]()
-    var u = 0
-    while (u < adj.length) {
-      adj(u).foreach { v =>
-        if (u < v) sup(key(u, v)) = commonNeighbors(adj, u, v).size
+  /** Calls f(a, b) for every w adjacent to both ends of slot i (u → v)
+    * through alive edges: a is the slot of (u, w), b the slot of (v, w).
+    */
+  @inline private def common(rows: Rows, alive: Array[Boolean], i: Int)(f: (Int, Int) => Unit): Unit = {
+    val v = rows.neigh(i)
+    val u = rows.neigh(rows.rev(i))
+    var a = rows.offsets(u)
+    var b = rows.offsets(v)
+    while (a < rows.offsets(u + 1) && b < rows.offsets(v + 1)) {
+      val x = rows.neigh(a); val y = rows.neigh(b)
+      if (x == y && alive(a) && alive(b)) f(a, b)
+      if (x <= y) a += 1
+      if (y <= x) b += 1
+    }
+  }
+
+  /** Support of every alive edge, on both of its slots (0 on dead slots). */
+  def supports(rows: Rows, alive: Array[Boolean]): Array[Int] = {
+    val sup = new Array[Int](rows.neigh.length)
+    rows.foreachSlot { (u, i) =>
+      if (alive(i) && u < rows.neigh(i)) {
+        var c = 0
+        common(rows, alive, i)((_, _) => c += 1)
+        sup(i) = c; sup(rows.rev(i)) = c
       }
-      u += 1
     }
     sup
   }
 
-  /** Peel `adj` *in place* to its maximal k-truss: repeatedly remove edges
-    * with support < k−2 and propagate the support decrements. The result
-    * is the (unique) union of all k-trusses of the input.
+  /** Peel the alive edges *in place* to their maximal k-truss: repeatedly
+    * remove edges with support < k−2 and propagate the support decrements.
+    * The result is the (unique) union of all k-trusses of the input.
     */
-  def kTrussPeel(adj: Adj, k: Int): Unit =
-    if (k > 2) peel(adj, supports(adj), k - 2, _ => ()) // every graph is a (≤2)-truss
+  def kTrussPeel(rows: Rows, alive: Array[Boolean], k: Int): Unit =
+    if (k > 2) peel(rows, alive, supports(rows, alive), k - 2, _ => ()) // every graph is a (≤2)-truss
 
-  /** The one peeling loop: remove every edge whose support is < `need`,
+  /** The one peeling loop: remove every alive edge whose support is < `need`,
     * propagating the decrements, until every edge left has support ≥ need.
-    * `sup` holds the support of exactly the edges still in `adj`; each
-    * removed edge leaves both and is passed to `removed`.
+    * `sup` holds the support of exactly the alive edges; each removed edge
+    * is passed to `removed` as its slot in the lower endpoint's row.
     */
-  private def peel(adj: Adj, sup: mutable.HashMap[Long, Int], need: Int, removed: Long => Unit): Unit = {
-    val queue = mutable.Queue[Long]()
-    sup.foreach { case (e, s) => if (s < need) queue += e }
-    while (queue.nonEmpty) {
-      val e = queue.dequeue()
-      if (sup.remove(e).isDefined) {
-        removed(e)
-        val u = (e >>> 32).toInt; val v = (e & 0xffffffffL).toInt
-        val common = commonNeighbors(adj, u, v).toArray
-        adj(u) -= v; adj(v) -= u
-        common.foreach { w =>
-          var i = 0
-          val fs = Array(key(u, w), key(v, w))
-          while (i < 2) {
-            val f = fs(i)
-            val s = sup(f) - 1
-            sup(f) = s
-            if (s == need - 1) queue += f
-            i += 1
-          }
-        }
-      }
+  private def peel(rows: Rows, alive: Array[Boolean], sup: Array[Int], need: Int, removed: Int => Unit): Unit = {
+    // an edge is pushed at most once, as its first slot: when it starts
+    // below `need`, or when its support first drops to need − 1
+    val stack = new Array[Int](rows.neigh.length / 2 + 1)
+    var top = 0
+    def push(i: Int): Unit = { stack(top) = i; top += 1 }
+    def drop(s: Int): Unit = {
+      sup(s) -= 1; sup(rows.rev(s)) -= 1
+      if (sup(s) == need - 1) push(s min rows.rev(s))
+    }
+    rows.foreachSlot((u, i) => if (alive(i) && u < rows.neigh(i) && sup(i) < need) push(i))
+    while (top > 0) {
+      top -= 1
+      val i = stack(top)
+      rows.cut(alive, i)
+      removed(i)
+      common(rows, alive, i) { (a, b) => drop(a); drop(b) }
     }
   }
 
-  /** Vertices connected to `start` through remaining edges (start always
-    * included, even if isolated).
-    */
-  def componentOf(adj: Adj, start: Int): mutable.HashSet[Int] = {
-    val seen = mutable.HashSet(start)
-    val stack = mutable.ArrayDeque(start)
-    while (stack.nonEmpty) {
-      val u = stack.removeLast()
-      adj(u).foreach { v => if (seen.add(v)) stack.append(v) }
-    }
-    seen
-  }
-
-  /** BFS hop distances from `start` over the current adjacency; unreachable
+  /** BFS hop distances from `start` over the alive edges; unreachable
     * vertices get Int.MaxValue.
     */
-  def bfsDist(adj: Adj, start: Int): Array[Int] = {
-    val dist = Array.fill(adj.length)(Int.MaxValue)
+  def bfsDist(rows: Rows, alive: Array[Boolean], start: Int): Array[Int] = {
+    val dist = Array.fill(rows.n)(Int.MaxValue)
+    val queue = new Array[Int](rows.n)
     dist(start) = 0
-    val q = mutable.ArrayDeque(start)
-    while (q.nonEmpty) {
-      val u = q.removeHead()
-      adj(u).foreach { v =>
-        if (dist(v) == Int.MaxValue) { dist(v) = dist(u) + 1; q.append(v) }
+    queue(0) = start
+    var head = 0; var tail = 1
+    while (head < tail) {
+      val u = queue(head); head += 1
+      (rows.offsets(u) until rows.offsets(u + 1)).foreach { i =>
+        val v = rows.neigh(i)
+        if (alive(i) && dist(v) == Int.MaxValue) { dist(v) = dist(u) + 1; queue(tail) = v; tail += 1 }
       }
     }
     dist
   }
 
-  /** Full truss decomposition: trussness(e) = max k such that e belongs to
-    * a k-truss (≥ 2 for every edge). Level-by-level peeling (Wang & Cheng,
-    * VLDB 2012): the edges removed while peeling the k-truss to the
+  /** Full truss decomposition of the alive edges, which it peels away:
+    * trussness(e) = max k such that e belongs to a k-truss (≥ 2 for every
+    * edge, 0 on dead slots), on both slots. Level-by-level peeling (Wang &
+    * Cheng, VLDB 2012): the edges removed while peeling the k-truss to the
     * (k+1)-truss have trussness k. Used by the ATindex baseline offline.
-    *
-    * @return map from packed edge key (u<v) to trussness
     */
-  def trussness(adjIn: Adj): mutable.HashMap[Long, Int] = {
-    val adj = copy(adjIn)
-    val sup = supports(adj)
-    val out = mutable.HashMap[Long, Int]()
+  def trussness(rows: Rows, alive: Array[Boolean]): Array[Int] = {
+    val sup = supports(rows, alive)
+    val out = new Array[Int](rows.neigh.length)
+    var left = alive.count(identity) / 2
     var k = 2
-    while (sup.nonEmpty) {
-      peel(adj, sup, k - 1, e => out(e) = k)
+    while (left > 0) {
+      peel(rows, alive, sup, k - 1, { i => out(i) = k; out(rows.rev(i)) = k; left -= 1 })
       k += 1
     }
     out
   }
-
-  /** Convenience for tests: does every edge have support ≥ k−2? */
-  def isKTruss(adj: Adj, k: Int): Boolean =
-    supports(adj).valuesIterator.forall(_ >= k - 2)
 }

@@ -13,24 +13,24 @@ class EdgeCasesSpec extends AnyFunSuite {
   private val grid = Precompute.DefaultThetaGrid
 
   test("truss: supports/peel/trussness on an edgeless graph") {
-    val adj = Truss.adjacency(4, Nil)
-    assert(Truss.supports(adj).isEmpty)
-    Truss.kTrussPeel(adj, 4)
-    assert(Truss.trussness(adj).isEmpty)
+    val rows = Truss.Rows.of(4, Nil)
+    assert(Truss.supports(rows, rows.allAlive).isEmpty)
+    Truss.kTrussPeel(rows, rows.allAlive, 4)
+    assert(Truss.trussness(rows, rows.allAlive).isEmpty)
   }
 
   test("truss: single edge has support 0, trussness 2") {
-    val adj = Truss.adjacency(2, Seq((0, 1)))
-    assert(Truss.supports(adj)(Truss.key(0, 1)) == 0)
-    assert(Truss.trussness(adj)(Truss.key(0, 1)) == 2)
+    val rows = Truss.Rows.of(2, Seq((0, 1)))
+    assert(Truss.supports(rows, rows.allAlive).toSeq == Seq(0, 0))
+    assert(Truss.trussness(rows, rows.allAlive).toSeq == Seq(2, 2))
   }
 
   test("kcore: k = 0 and k = 1 keep all edges") {
-    val g = TestGraphs.bowtie()
+    val rows = TestGraphs.rowsOf(TestGraphs.bowtie())
     Seq(0, 1).foreach { k =>
-      val adj = TestGraphs.adjOf(g)
-      KCore.kCorePeel(adj, k)
-      assert(TestGraphs.edgeSet(adj).size == 6)
+      val alive = rows.allAlive
+      KCore.kCorePeel(rows, alive, k)
+      assert(TestGraphs.edgeSet(TestGraphs.adjOf(rows, alive)).size == 6)
     }
   }
 

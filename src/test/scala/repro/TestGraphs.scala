@@ -1,5 +1,6 @@
 package repro
 
+import repro.core.SeedExtract
 import repro.graph.{GraphData, SocialGraph}
 import repro.truss.Truss
 
@@ -51,22 +52,46 @@ object TestGraphs {
       for { u <- 0 until n; v <- (u + 1) until n } yield (u, v),
       keywords = (0 until n).map(v => v -> Seq(0)).toMap, w = w)
 
+  /** The reference graph form: one mutable neighbour set per vertex
+    * (symmetric, no self loops). `src/main` runs on sorted rows
+    * ([[Truss.Rows]]); the references below run on these sets.
+    */
+  type Adj = Array[mutable.HashSet[Int]]
+
   /** Adjacency sets of the undirected structure of g. */
-  def adjOf(g: GraphData): Truss.Adj = {
-    val adj: Truss.Adj = Array.fill(g.n)(mutable.HashSet[Int]())
-    (0 until g.n).foreach { v => g.foreachNeighbor(v) { (u, _) => adj(v) += u } }
-    adj
-  }
+  def adjOf(g: GraphData): Adj = Array.tabulate(g.n)(v => mutable.HashSet.from(g.neighborsOf(v)))
+
+  /** g's own sorted CSR rows, as the whole-graph kernels see them. */
+  def rowsOf(g: GraphData): Truss.Rows = Truss.Rows(g.offsets, g.neigh)
+
+  /** Adjacency sets of the alive edges of `rows`. */
+  def adjOf(rows: Truss.Rows, alive: Array[Boolean]): Adj =
+    Array.tabulate(rows.n)(v =>
+      mutable.HashSet.from((rows.offsets(v) until rows.offsets(v + 1)).filter(alive(_)).map(rows.neigh(_))))
 
   /** Undirected canonical edge set of an adjacency structure. */
-  def edgeSet(adj: Truss.Adj): Set[(Int, Int)] =
+  def edgeSet(adj: Adj): Set[(Int, Int)] =
     (for { u <- adj.indices; v <- adj(u); if u < v } yield (u, v)).toSet
+
+  /** Every slot of `rows` as (row owner, neighbour) → `vals(slot)`. */
+  def bySlot(rows: Truss.Rows, vals: Array[Int]): Map[(Int, Int), Int] =
+    (for { u <- 0 until rows.n; i <- rows.offsets(u) until rows.offsets(u + 1) } yield (u, rows.neigh(i)) -> vals(i)).toMap
+
+  /** A per-edge map (canonical u < v keys) stated for both directions. */
+  def bothWays(m: Map[(Int, Int), Int]): Map[(Int, Int), Int] = m ++ m.map { case ((u, v), x) => (v, u) -> x }
+
+  /** Reference supports: |N(u) ∩ N(v)| by set intersection, per canonical edge. */
+  def refSupports(adj: Adj): Map[(Int, Int), Int] =
+    (for { u <- adj.indices; v <- adj(u); if u < v } yield (u, v) -> (adj(u) & adj(v)).size).toMap
+
+  /** Does every edge have support ≥ k−2? */
+  def isKTruss(adj: Adj, k: Int): Boolean = refSupports(adj).values.forall(_ >= k - 2)
 
   /** Reference maximal k-truss: recompute ALL supports from scratch and
     * delete every under-supported edge, repeat to fixpoint.
     */
-  def refKTruss(adjIn: Truss.Adj, k: Int): Truss.Adj = {
-    val adj = Truss.copy(adjIn)
+  def refKTruss(adjIn: Adj, k: Int): Adj = {
+    val adj = adjIn.map(_.clone())
     var changed = true
     while (changed) {
       changed = false
@@ -81,6 +106,57 @@ object TestGraphs {
       }
     }
     adj
+  }
+
+  /** Reference trussness: the largest k whose [[refKTruss]] keeps the edge. */
+  def refTrussness(adj: Adj): Map[(Int, Int), Int] = {
+    val out = mutable.HashMap.from(edgeSet(adj).map(_ -> 2))
+    var k = 3
+    var kept = edgeSet(refKTruss(adj, k))
+    while (kept.nonEmpty) {
+      kept.foreach(out(_) = k)
+      k += 1
+      kept = edgeSet(refKTruss(adj, k))
+    }
+    out.toMap
+  }
+
+  /** BFS hop distances from `source` through `neighbours`, up to `maxD`. */
+  def bfs(source: Int, neighbours: Int => Iterable[Int], maxD: Int = Int.MaxValue): Map[Int, Int] = {
+    val dist = mutable.HashMap[Int, Int](source -> 0)
+    var frontier = List(source)
+    var d = 0
+    while (frontier.nonEmpty && d < maxD) {
+      d += 1
+      val next = mutable.ListBuffer[Int]()
+      frontier.foreach(v => neighbours(v).foreach(u => if (!dist.contains(u)) { dist(u) = d; next += u }))
+      frontier = next.toList
+    }
+    dist.toMap
+  }
+
+  /** Reference seed community (Def. 2) that shares no truss code with
+    * `src/main`: its own BFS ball, the keyword filter, the induced
+    * neighbour sets, [[refKTruss]], then the radius filter, to a fixpoint.
+    */
+  def refSeed(g: GraphData, c: Int, r: Int, k: Int, q: Array[Int]): Option[SeedExtract.Seed] = {
+    if (!g.matchesQuery(c, q)) return None
+    val ball = bfs(c, g.neighborsOf(_), r).keys.filter(g.matchesQuery(_, q)).toArray.sorted
+    val local = ball.zipWithIndex.toMap
+    var adj: Adj = ball.map(v => mutable.HashSet.from(g.neighborsOf(v).flatMap(local.get)))
+    val lc = local(c)
+    var changed = true
+    while (changed) {
+      adj = refKTruss(adj, k)
+      if (k >= 3 && adj(lc).isEmpty) return None
+      val d = bfs(lc, adj(_))
+      val far = adj.indices.filter(v => adj(v).nonEmpty && d.getOrElse(v, Int.MaxValue) > r)
+      far.foreach { v => adj(v).foreach(u => adj(u) -= v); adj(v).clear() }
+      changed = far.nonEmpty
+    }
+    val members = adj.indices.filter(v => v == lc || adj(v).nonEmpty).map(ball)
+    val edges = edgeSet(adj).toSeq.map { case (u, v) => (ball(u) min ball(v), ball(u) max ball(v)) }
+    Some(SeedExtract.Seed(members.sorted.toArray, edges.sorted.toArray))
   }
 
   /** Reference upp(u, ·): exhaustive simple-path enumeration (small graphs
@@ -103,18 +179,18 @@ object TestGraphs {
   /** Max incident whole-graph edge support per vertex, for the Spark-free
     * tests (the Spark join reference is in `PrecomputeSparkSpec`).
     */
-  def localIncSup(g: GraphData): Array[Int] = repro.index.Precompute.incidentMaxSupport(adjOf(g))
+  def localIncSup(g: GraphData): Array[Int] = repro.index.Precompute.incidentMaxSupport(g)
 
   /** Ground-truth TopL-ICDE by exhaustive center enumeration (no index, no
-    * pruning, no Spark): the L best deduplicated seed communities as
-    * (σ, sorted vertex list), ranked by σ descending, then the vertex list
-    * in lexicographic order. The comparator is written out here, apart
+    * pruning, no Spark, seeds from [[refSeed]]): the L best deduplicated
+    * seed communities as (σ, sorted vertex list), ranked by σ descending,
+    * then the vertex list in lexicographic order. The comparator is written out here, apart
     * from `Community.Ranking`.
     */
   def refTopL(g: GraphData, q: repro.core.Query): Seq[(Double, Seq[Int])] = {
     val sigmaOf = mutable.HashMap[List[Int], Double]()
     (0 until g.n).foreach { v =>
-      repro.core.SeedExtract.extract(g, v, q.r, q.k, q.keywords).foreach { seed =>
+      refSeed(g, v, q.r, q.k, q.keywords).foreach { seed =>
         sigmaOf(seed.vertices.toList) = repro.influence.MIA.sigma(g, seed.vertices, q.theta)
       }
     }
@@ -176,21 +252,6 @@ object TestGraphs {
     */
   def twoK4Tie(): GraphData = cliques(15, Seq((4, 4, false), (10, 4, true)))
 
-  /** Reference hop distances by Floyd–Warshall-free BFS per vertex. */
-  def refDist(g: GraphData, source: Int): Map[Int, Int] = {
-    val dist = mutable.HashMap[Int, Int](source -> 0)
-    var frontier = List(source)
-    var d = 0
-    while (frontier.nonEmpty) {
-      d += 1
-      val next = mutable.ListBuffer[Int]()
-      frontier.foreach { v =>
-        g.foreachNeighbor(v) { (u, _) =>
-          if (!dist.contains(u)) { dist(u) = d; next += u }
-        }
-      }
-      frontier = next.toList
-    }
-    dist.toMap
-  }
+  /** Reference hop distances by BFS from one vertex. */
+  def refDist(g: GraphData, source: Int): Map[Int, Int] = bfs(source, g.neighborsOf(_))
 }

@@ -84,15 +84,14 @@ class SeedExtractSpec extends AnyFunSuite with MiniChecks {
           members.foreach(v => assert(g.matchesQuery(v, query), s"keyword constraint at $v"))
           // the community SUBGRAPH (its own edge set, not the induced one)
           val local = members.zipWithIndex.toMap
-          val adj: Truss.Adj = Array.fill(members.length)(scala.collection.mutable.HashSet[Int]())
           community.edges.foreach { case (u, v) =>
             assert(local.contains(u) && local.contains(v), "edge endpoints inside community")
-            adj(local(u)) += local(v); adj(local(v)) += local(u)
             // every community edge is a real graph edge
             assert(g.neighborsOf(u).contains(v), s"phantom edge ($u,$v)")
           }
-          assert(Truss.isKTruss(adj, k), s"k-truss constraint, k=$k")
-          val d = Truss.bfsDist(adj, local(c))
+          val rows = Truss.Rows.of(members.length, community.edges.map { case (u, v) => (local(u), local(v)) })
+          assert(TestGraphs.isKTruss(TestGraphs.adjOf(rows, rows.allAlive), k), s"k-truss constraint, k=$k")
+          val d = Truss.bfsDist(rows, rows.allAlive, local(c))
           d.foreach(x => assert(x <= r, s"radius constraint r=$r"))
         }
       }
@@ -107,6 +106,39 @@ class SeedExtractSpec extends AnyFunSuite with MiniChecks {
         val b = SeedExtract.extract(g, c, 2, 3, Array(0, 1, 2))
         assert(a.map(_.vertices.toSeq) == b.map(_.vertices.toSeq))
         assert(a.map(_.edges.toSeq) == b.map(_.edges.toSeq))
+      }
+    }
+  }
+
+  test("property: extract equals the independent refSeed (vertices and edges)") {
+    val gen = Gen.zip(Gen.chooseNum(6, 20), Gen.chooseNum(1, 40), Gen.chooseNum(2, 5), Gen.chooseNum(1, 3))
+    forAllN(gen, n = 120) { case (n, seed, k, r) =>
+      val g = TestGraphs.random(n, 0.35, sigma = 4, kwPerVertex = 2, seed = seed.toLong)
+      val query = Array(0, 1)
+      (0 until n).foreach { c =>
+        val got = SeedExtract.extract(g, c, r, k, query)
+        val want = TestGraphs.refSeed(g, c, r, k, query)
+        assert(got.map(_.vertices.toSeq) == want.map(_.vertices.toSeq), s"vertices c=$c k=$k r=$r")
+        assert(got.map(_.edges.toSeq) == want.map(_.edges.toSeq), s"edges c=$c k=$k r=$r")
+      }
+    }
+  }
+
+  test("filteredBall: sorted members, sorted symmetric rows of the induced subgraph") {
+    forAllN2(Gen.chooseNum(6, 20), Gen.chooseNum(1, 30), n = 40) { (n, seed) =>
+      val g = TestGraphs.random(n, 0.3, sigma = 4, seed = seed.toLong)
+      val query = Array(0, 1)
+      (0 until n).foreach { c =>
+        val (global, rows) = SeedExtract.filteredBall(g, c, 2, query)
+        val want = TestGraphs.refDist(g, c).collect { case (v, d) if d <= 2 && g.matchesQuery(v, query) => v }.toSet
+        assert(global.toSeq == want.toSeq.sorted)
+        val induced = TestGraphs.edgeSet(TestGraphs.adjOf(g)).filter { case (u, v) => want(u) && want(v) }
+        val local = TestGraphs.edgeSet(TestGraphs.adjOf(rows, rows.allAlive)).map { case (u, v) => (global(u), global(v)) }
+        assert(local == induced)
+        (0 until rows.n).foreach { v =>
+          val row = rows.neigh.slice(rows.offsets(v), rows.offsets(v + 1))
+          assert(row.toSeq == row.sorted.toSeq)
+        }
       }
     }
   }

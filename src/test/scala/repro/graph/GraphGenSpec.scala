@@ -145,4 +145,41 @@ class GraphGenSpec extends SparkSpec {
       assert(found)
     }
   }
+
+  /** toGraphData of three vertices with keyword {0} and the given
+    * (src, dst, weight) rows; the error message if it rejects them.
+    */
+  private def ingest(rows: (Long, Long, Double)*): Either[String, GraphData] = {
+    import spark.implicits._
+    val gf = SocialGraph.GraphFrames(
+      Seq((0L, Seq(0)), (1L, Seq(0)), (2L, Seq(0))).toDF("id", "keywords"),
+      rows.toDF("src", "dst", "weight"))
+    try Right(SocialGraph.toGraphData(gf))
+    catch { case e: IllegalArgumentException => Left(e.getMessage) }
+  }
+
+  private val pair = Seq((0L, 1L, 0.5), (1L, 0L, 0.5))
+
+  test("toGraphData rejects a self loop, naming the row") {
+    val err = ingest(pair :+ ((2L, 2L, 0.5)): _*)
+    assert(err.left.exists(m => m.contains("self loop") && m.contains("(2, 2)")), err)
+  }
+
+  test("toGraphData rejects a repeated (src, dst) row, naming the row") {
+    val err = ingest(pair :+ ((0L, 1L, 0.5)): _*)
+    assert(err.left.exists(m => m.contains("repeated") && m.contains("(0, 1)")), err)
+  }
+
+  test("toGraphData rejects a row whose reverse is missing, naming the row") {
+    val err = ingest(pair :+ ((1L, 2L, 0.5)): _*)
+    assert(err.left.exists(m => m.contains("no reverse") && m.contains("(1, 2)")), err)
+  }
+
+  test("toGraphData rejects a weight outside (0, 1], naming the row") {
+    Seq(0.0, -0.1, 1.5, Double.NaN).foreach { w =>
+      val err = ingest((0L, 1L, 0.5), (1L, 0L, w))
+      assert(err.left.exists(m => m.contains("outside (0, 1]") && m.contains("(1, 0)")), s"w=$w: $err")
+    }
+    assert(ingest((0L, 1L, 1.0), (1L, 0L, 1e-9)).isRight, "1 and tiny positive weights are valid")
+  }
 }

@@ -59,11 +59,8 @@ class PrecomputeLocalSpec extends AnyFunSuite with MiniChecks {
           SeedExtract.extract(g, v, row.r, 3, Array(0, 1, 2, 3, 4)).foreach { community =>
             val members = community.vertices
             val local = members.zipWithIndex.toMap
-            val adj: Truss.Adj = Array.fill(members.length)(scala.collection.mutable.HashSet[Int]())
-            community.edges.foreach { case (u, w) =>
-              adj(local(u)) += local(w); adj(local(w)) += local(u)
-            }
-            Truss.supports(adj).values.foreach(s => assert(s <= row.ubSup))
+            val rows = Truss.Rows.of(members.length, community.edges.map { case (u, w) => (local(u), local(w)) })
+            Truss.supports(rows, rows.allAlive).foreach(s => assert(s <= row.ubSup))
           }
         }
       }

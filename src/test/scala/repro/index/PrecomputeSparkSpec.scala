@@ -7,9 +7,9 @@ import repro.graph.{GraphGen, SocialGraph}
 import repro.truss.Support
 
 /** The distributed offline phase (Spark mapPartitions over broadcast
-  * graph) must equal the driver-local per-vertex computation, and the
-  * local incident-support array must equal the one from the Spark
-  * triangle join.
+  * graph) must equal the driver-local per-vertex computation, and both
+  * local incident-support arrays (over the CSR rows, and over raw edge
+  * rows) must equal the one from the Spark triangle join.
   */
 class PrecomputeSparkSpec extends SparkSpec {
 
@@ -29,6 +29,8 @@ class PrecomputeSparkSpec extends SparkSpec {
   test("incidentMaxSupportArray equals the local reference") {
     val local = Precompute.incidentMaxSupportArray(spark, gf.edges, gd.n)
     assert(local.toSeq == joinIncSup(gf.edges, gd.n))
+    // the build's own path: supports over the collected CSR's rows
+    assert(Precompute.incidentMaxSupport(gd).toSeq == joinIncSup(gf.edges, gd.n))
     // raw rows: (0,1) twice and once as (1,0), a (3,3) self loop, and
     // (1,2), (2,0), (2,3) each stated in one direction only
     import spark.implicits._
@@ -56,7 +58,7 @@ class PrecomputeSparkSpec extends SparkSpec {
   }
 
   test("offline() output feeds TreeIndex.build without gaps") {
-    val rows = Precompute.offline(spark, gd, gf.edges, 2)
+    val rows = Precompute.offline(spark, gd, 2)
     val idx = TreeIndex.build(rows)
     assert(TreeIndex.vertices(idx).size == gd.n)
     assert(idx.agg.rMax == 2)

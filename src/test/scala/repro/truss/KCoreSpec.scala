@@ -6,11 +6,11 @@ import repro.{MiniChecks, TestGraphs}
 
 import scala.util.Random
 
-/** k-core peeling vs a naive fixpoint reference. */
+/** k-core peeling on sorted rows vs a naive neighbour-set fixpoint reference. */
 class KCoreSpec extends AnyFunSuite with MiniChecks {
 
-  private def refKCore(adjIn: Truss.Adj, k: Int): Truss.Adj = {
-    val adj = Truss.copy(adjIn)
+  private def refKCore(adjIn: TestGraphs.Adj, k: Int): TestGraphs.Adj = {
+    val adj = adjIn.map(_.clone())
     var changed = true
     while (changed) {
       changed = false
@@ -25,37 +25,41 @@ class KCoreSpec extends AnyFunSuite with MiniChecks {
     adj
   }
 
+  /** The alive edges left by a k-core peel of `rows`, as neighbour sets. */
+  private def cored(rows: Truss.Rows, k: Int): TestGraphs.Adj = {
+    val alive = rows.allAlive
+    KCore.kCorePeel(rows, alive, k)
+    TestGraphs.adjOf(rows, alive)
+  }
+
+  private def randomRows(n: Int, seed: Int): Truss.Rows = {
+    val rnd = new Random(seed.toLong)
+    Truss.Rows.of(n, for { u <- 0 until n; v <- (u + 1) until n if rnd.nextDouble() < 0.4 } yield (u, v))
+  }
+
   test("K5 is a 4-core, not a 5-core") {
-    val adj = TestGraphs.adjOf(TestGraphs.clique(5))
-    val c4 = Truss.copy(adj); KCore.kCorePeel(c4, 4)
-    assert(TestGraphs.edgeSet(c4).size == 10)
-    val c5 = Truss.copy(adj); KCore.kCorePeel(c5, 5)
-    assert(TestGraphs.edgeSet(c5).isEmpty)
+    val rows = TestGraphs.rowsOf(TestGraphs.clique(5))
+    assert(TestGraphs.edgeSet(cored(rows, 4)).size == 10)
+    assert(TestGraphs.edgeSet(cored(rows, 5)).isEmpty)
   }
 
   test("pendant vertex peeled at k=2") {
-    val adj = TestGraphs.adjOf(TestGraphs.bowtie())
-    KCore.kCorePeel(adj, 2)
+    val adj = cored(TestGraphs.rowsOf(TestGraphs.bowtie()), 2)
     assert(adj(4).isEmpty)
     assert(adj(0).nonEmpty)
   }
 
   test("property: peel equals naive fixpoint on random graphs") {
     forAllN3(Gen.chooseNum(4, 18), Gen.chooseNum(1, 10), Gen.chooseNum(2, 5), n = 60) { (n, seed, k) =>
-      val rnd = new Random(seed.toLong)
-      val edges = for { u <- 0 until n; v <- (u + 1) until n if rnd.nextDouble() < 0.4 } yield (u, v)
-      val adj = Truss.adjacency(n, edges)
-      val got = Truss.copy(adj); KCore.kCorePeel(got, k)
-      assert(TestGraphs.edgeSet(got) == TestGraphs.edgeSet(refKCore(adj, k)))
+      val rows = randomRows(n, seed)
+      val want = refKCore(TestGraphs.adjOf(rows, rows.allAlive), k)
+      assert(TestGraphs.edgeSet(cored(rows, k)) == TestGraphs.edgeSet(want))
     }
   }
 
   test("property: every surviving vertex keeps degree >= k") {
     forAllN3(Gen.chooseNum(4, 20), Gen.chooseNum(1, 10), Gen.chooseNum(2, 5), n = 40) { (n, seed, k) =>
-      val rnd = new Random(seed.toLong)
-      val edges = for { u <- 0 until n; v <- (u + 1) until n if rnd.nextDouble() < 0.4 } yield (u, v)
-      val adj = Truss.adjacency(n, edges)
-      KCore.kCorePeel(adj, k)
+      val adj = cored(randomRows(n, seed), k)
       adj.indices.foreach(v => assert(adj(v).isEmpty || adj(v).size >= k))
     }
   }
@@ -66,14 +70,12 @@ class KCoreSpec extends AnyFunSuite with MiniChecks {
     // vertex is its own K4.
     val k4a = for { u <- 0 until 4; v <- (u + 1) until 4 } yield (u, v)
     val k4b = for { u <- 4 until 8; v <- (u + 1) until 8 } yield (u, v)
-    val g = repro.graph.SocialGraph.fromEdges(9, k4a ++ k4b ++ Seq((0, 8), (8, 4)))
-    val adj = TestGraphs.adjOf(g)
-    assert(KCore.kCoreCommunity(adj, 1, 3) == Set(0, 1, 2, 3))
-    assert(KCore.kCoreCommunity(adj, 5, 3) == Set(4, 5, 6, 7))
+    val rows = TestGraphs.rowsOf(repro.graph.SocialGraph.fromEdges(9, k4a ++ k4b ++ Seq((0, 8), (8, 4))))
+    assert(KCore.kCoreCommunity(rows, 1, 3) == Set(0, 1, 2, 3))
+    assert(KCore.kCoreCommunity(rows, 5, 3) == Set(4, 5, 6, 7))
   }
 
   test("kCoreCommunity empty when center peeled") {
-    val adj = TestGraphs.adjOf(TestGraphs.bowtie())
-    assert(KCore.kCoreCommunity(adj, 4, 2).isEmpty)
+    assert(KCore.kCoreCommunity(TestGraphs.rowsOf(TestGraphs.bowtie()), 4, 2).isEmpty)
   }
 }

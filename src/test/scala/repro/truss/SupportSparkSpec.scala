@@ -17,9 +17,10 @@ class SupportSparkSpec extends SparkSpec {
   }
 
   test("distributed edge supports equal the local Truss.supports") {
-    val local = Truss.supports(TestGraphs.adjOf(gd))
+    val rows = TestGraphs.rowsOf(gd)
+    val local = TestGraphs.bySlot(rows, Truss.supports(rows, rows.allAlive)).filter { case ((u, v), _) => u < v }
     val dist = Support.edgeSupports(gf.edges).collect()
-      .map(r => Truss.key(r.getLong(0).toInt, r.getLong(1).toInt) -> r.getLong(2).toInt)
+      .map(r => (r.getLong(0).toInt, r.getLong(1).toInt) -> r.getLong(2).toInt)
       .toMap
     assert(dist.keySet == local.keySet)
     local.foreach { case (e, s) => assert(dist(e) == s, s"edge $e") }
@@ -73,11 +74,18 @@ class SupportSparkSpec extends SparkSpec {
   test("supports of a generated clique-overlap graph are consistent with trussness") {
     val d = GraphGen.dblpLike(spark, 400, seed = 5L)
     val g = SocialGraph.toGraphData(d)
-    val adj = TestGraphs.adjOf(g)
-    val sup = Truss.supports(adj)
-    val tn = Truss.trussness(adj)
+    val rows = TestGraphs.rowsOf(g)
+    val sup = Truss.supports(rows, rows.allAlive)
+    val tn = Truss.trussness(rows, rows.allAlive)
     // trussness(e) <= sup(e) + 2 always
-    tn.foreach { case (e, t) => assert(t <= sup(e) + 2) }
+    tn.indices.foreach(i => assert(tn(i) <= sup(i) + 2))
+  }
+
+  test("supports and trussness equal the references slot by slot on a generated NWS graph") {
+    val rows = TestGraphs.rowsOf(gd)
+    val adj = TestGraphs.adjOf(gd)
+    assert(TestGraphs.bySlot(rows, Truss.supports(rows, rows.allAlive)) == TestGraphs.bothWays(TestGraphs.refSupports(adj)))
+    assert(TestGraphs.bySlot(rows, Truss.trussness(rows, rows.allAlive)) == TestGraphs.bothWays(TestGraphs.refTrussness(adj)))
   }
 
   test("zero-support edges present in the output (left join keeps them)") {
