@@ -14,6 +14,9 @@ import scala.collection.mutable
   *    and are only recomputed when they surface;
   *  - [[greedyWoP]] — naive greedy recomputing every increment each round;
   *  - [[optimal]]   — exhaustive search over all C(|T|, L) subsets.
+  *
+  * The coverage of S is a dense `Array[Double]` over vertex ids, read and
+  * raised through each candidate's [[repro.influence.MIA.Cpp]] arrays.
   */
 object DTopL {
 
@@ -23,36 +26,78 @@ object DTopL {
       /** number of ΔD / D evaluations performed (the pruning measure) */
       incrementEvals: Long)
 
-  /** D(S) of Eq. (6), from the candidates' (θ-thresholded) cpp maps. */
-  def diversity(sel: Iterable[Community]): Double = {
-    val cover = mutable.HashMap[Int, Double]()
+  /** D(S) of Eq. (6), from the candidates' (θ-thresholded) cpp arrays. */
+  def diversity(sel: Iterable[Community]): Double = diversity(coverFor(sel), sel)
+
+  /** D(S) on a zeroed dense cover, which is zeroed again on return. The
+    * sum runs over the communities' cpp ids in order, each vertex counted
+    * at its first occurrence (then cleared, so later ones add 0).
+    */
+  private def diversity(cover: Array[Double], sel: Iterable[Community]): Double = {
     sel.foreach(absorb(cover, _))
     var s = 0.0
-    cover.valuesIterator.foreach(s += _)
+    sel.foreach { g =>
+      val ids = g.cpp.ids
+      var i = 0
+      while (i < ids.length) { s += cover(ids(i)); cover(ids(i)) = 0.0; i += 1 }
+    }
     s
   }
 
-  /** ΔD_g(S) given the current coverage map of S. */
-  private def increment(cover: mutable.HashMap[Int, Double], g: Community): Double = {
+  /** A zeroed dense cover, cover(v) = max cpp of v over the absorbed
+    * communities, indexed by every vertex id in `cands`.
+    */
+  private def coverFor(cands: Iterable[Community]): Array[Double] = {
+    var n = 0
+    cands.foreach(_.cpp.ids.foreach(v => if (v >= n) n = v + 1))
+    new Array[Double](n)
+  }
+
+  /** ΔD_g(S) given the current cover of S. Summed in g's cpp order, so a
+    * stale value (computed against a subset of S) is ≥ the current one in
+    * floating point too: each term max(0, p − c) only shrinks as c grows.
+    */
+  private def increment(cover: Array[Double], g: Community): Double = {
+    val ids = g.cpp.ids
+    val probs = g.cpp.probs
     var d = 0.0
-    g.cpp.foreach { case (v, p) =>
-      val c = cover.getOrElse(v, 0.0)
-      if (p > c) d += p - c
+    var i = 0
+    while (i < ids.length) {
+      val c = cover(ids(i))
+      if (probs(i) > c) d += probs(i) - c
+      i += 1
     }
     d
   }
 
-  private def absorb(cover: mutable.HashMap[Int, Double], g: Community): Unit =
-    g.cpp.foreach { case (v, p) => if (p > cover.getOrElse(v, 0.0)) cover(v) = p }
+  private def absorb(cover: Array[Double], g: Community): Unit = {
+    val ids = g.cpp.ids
+    val probs = g.cpp.probs
+    var i = 0
+    while (i < ids.length) {
+      if (probs(i) > cover(ids(i))) cover(ids(i)) = probs(i)
+      i += 1
+    }
+  }
 
-  /** Paper Algorithm 4 (Greedy_WP): lazy greedy with Lemma-9 pruning. */
+  /** Lazy-heap order: the largest bound first, ties to the smallest index. */
+  private val ByBound: Ordering[(Double, Int)] = (a, b) => {
+    val byBound = java.lang.Double.compare(a._1, b._1)
+    if (byBound != 0) byBound else Integer.compare(b._2, a._2)
+  }
+
+  /** Paper Algorithm 4 (Greedy_WP): lazy greedy with Lemma-9 pruning. It
+    * picks exactly what [[greedyWoP]] picks: a popped exact ΔD is ≥ every
+    * other true ΔD (each is ≤ its stale bound), and a tie goes to the
+    * smallest index in both.
+    */
   def greedyWP(cands: IndexedSeq[Community], l: Int): DResult = {
     val L = math.min(l, cands.length)
     var evals = 0L
-    val cover = mutable.HashMap[Int, Double]()
+    val cover = coverFor(cands)
     val selected = mutable.ArrayBuffer[Community]()
     // heap entries: (upper bound on ΔD, candidate index); g.round per index
-    val heap = mutable.PriorityQueue[(Double, Int)]()(Ordering.by(_._1))
+    val heap = mutable.PriorityQueue[(Double, Int)]()(ByBound)
     val lastRound = Array.fill(cands.length)(0)
     cands.indices.foreach { i => heap.enqueue((cands(i).sigma, i)) } // ΔD_g(∅) = σ(g)
     var round = 0
@@ -76,7 +121,7 @@ object DTopL {
   def greedyWoP(cands: IndexedSeq[Community], l: Int): DResult = {
     val L = math.min(l, cands.length)
     var evals = 0L
-    val cover = mutable.HashMap[Int, Double]()
+    val cover = coverFor(cands)
     val remaining = mutable.ArrayBuffer[Int](cands.indices: _*)
     val selected = mutable.ArrayBuffer[Community]()
     while (selected.length < L && remaining.nonEmpty) {
@@ -104,10 +149,11 @@ object DTopL {
     var evals = 0L
     var bestScore = Double.NegativeInfinity
     var best: Seq[Community] = Seq.empty
+    val cover = coverFor(cands)
     cands.indices.combinations(L).foreach { idx =>
       evals += 1
       val s = idx.map(cands)
-      val d = diversity(s)
+      val d = diversity(cover, s)
       if (d > bestScore) { bestScore = d; best = s.toSeq }
     }
     DResult(best, bestScore, evals)

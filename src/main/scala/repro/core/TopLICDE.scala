@@ -21,14 +21,15 @@ final case class Query(
 }
 
 /** A seed community answer: its center (where it was found, not part of
-  * its identity), sorted member vertices, influential score σ(g), and the
-  * cpp map of its influenced community g^Inf (for DTopL-ICDE diversity).
+  * its identity), sorted member vertices, influential score σ(g), and its
+  * influenced community g^Inf as MIA's id/cpp arrays (for DTopL-ICDE
+  * diversity); `sigma` is `cpp.sigma` for every scored community.
   */
 final case class Community(
     center: Int,
     vertices: Array[Int],
     sigma: Double,
-    cpp: Map[Int, Double]) {
+    cpp: MIA.Cpp) {
   override def toString: String =
     f"Community(center=$center, |V|=${vertices.length}, σ=$sigma%.3f)"
 }
@@ -62,7 +63,7 @@ object Community {
   /** Score a seed community: MIA expansion of `vertices` to g^Inf. */
   def scored(g: GraphData, center: Int, vertices: Array[Int], theta: Double): Community = {
     val cpp = MIA.influencedCpp(g, vertices, theta)
-    Community(center, vertices, MIA.sigmaOf(cpp), cpp.toMap)
+    Community(center, vertices, cpp.sigma, cpp)
   }
 }
 
@@ -103,13 +104,14 @@ object TopLICDE {
 
   /** Index of the largest grid threshold θ_z ≤ θ, or -1 if θ is below the
     * grid (then no σ_z is a valid upper bound and score pruning at index
-    * level is disabled).
+    * level is disabled). The test is exact: a θ_z even one ulp above θ
+    * leaves out the vertices with cpp in [θ, θ_z), so its σ_z is no bound.
     */
   def thetaZIndex(thetaGrid: Array[Double], theta: Double): Int = {
     var z = -1
     var i = 0
     while (i < thetaGrid.length) {
-      if (thetaGrid(i) <= theta + 1e-12) z = i
+      if (thetaGrid(i) <= theta) z = i
       i += 1
     }
     z

@@ -216,7 +216,7 @@ object Experiments {
     val coreCpp = MIA.influencedCpp(g, core, q.theta)
     Seq(
       CaseStudyRow("TopL-ICDE (k-truss)", top1.center, top1.vertices.length, top1.sigma, top1.cpp.size),
-      CaseStudyRow(s"${q.k}-core", top1.center, core.length, MIA.sigmaOf(coreCpp), coreCpp.size))
+      CaseStudyRow(s"${q.k}-core", top1.center, core.length, coreCpp.sigma, coreCpp.size))
   }
 
   // ---- Fig. 6: DTopL-ICDE ---------------------------------------------------

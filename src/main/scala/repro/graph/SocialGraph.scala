@@ -58,25 +58,33 @@ final case class GraphData(
     false
   }
 
-  /** Unweighted BFS ball: all vertices within `r` hops of `center`.
+  /** Unweighted BFS ball: all vertices within `r` hops of `center`, found
+    * on this thread's [[Workspace]] (epoch-stamped visit marks, so there is
+    * nothing to reset afterwards).
     *
-    * @return (vertices in BFS order, parallel hop distances)
+    * @return (vertices in BFS order, parallel hop distances, non-decreasing)
     */
   def hopBall(center: Int, r: Int): (Array[Int], Array[Int]) = {
-    val dist = new mutable.HashMap[Int, Int]()
-    val order = mutable.ArrayBuffer[Int](center)
-    dist(center) = 0
+    val ws = Workspace.of(n)
+    val e = ws.nextEpoch()
+    val order = ws.outIds
+    val dist = ws.outDist
+    order(0) = center; dist(0) = 0; ws.stamp(center) = e
+    var size = 1
     var head = 0
-    while (head < order.length) {
-      val u = order(head); head += 1
-      val du = dist(u)
-      if (du < r) {
-        foreachNeighbor(u) { (v, _) =>
-          if (!dist.contains(v)) { dist(v) = du + 1; order += v }
-        }
+    while (head < size && dist(head) < r) {
+      val u = order(head)
+      val du = dist(head) + 1
+      var i = offsets(u)
+      val end = offsets(u + 1)
+      while (i < end) {
+        val v = neigh(i)
+        if (ws.stamp(v) != e) { ws.stamp(v) = e; order(size) = v; dist(size) = du; size += 1 }
+        i += 1
       }
+      head += 1
     }
-    (order.toArray, order.map(dist).toArray)
+    (java.util.Arrays.copyOf(order, size), java.util.Arrays.copyOf(dist, size))
   }
 }
 

@@ -18,7 +18,10 @@ import repro.truss.Truss
   *               community inside the ball, see DESIGN.md);
   *  - `sigmas` — influential-score upper bounds σ_z(hop(v,r)) for each
   *               grid threshold θ_z, from ONE threshold-truncated MIA
-  *               expansion at θ₁ (exact for every θ_z ≥ θ₁).
+  *               expansion at θ₁ ([[repro.influence.MIA.Cpp.sigmaAt]]:
+  *               bit-identical to a fresh expansion at every θ_z ≥ θ₁,
+  *               and ≥ σ(g) of every g inside the ball with no epsilon;
+  *               see DESIGN.md "Float order of σ").
   *
   * The per-vertex work runs partition-parallel over vertex ranges with the
   * CSR graph and the incident-support array broadcast ("index over graph
@@ -62,21 +65,18 @@ object Precompute {
       thetaGrid: Array[Double]): Seq[VertexAgg] = {
     val (ball, dist) = g.hopBall(v, rMax)
     (1 to rMax).map { r =>
+      // BFS order: hop(v, r) is the prefix of the ball with dist ≤ r
+      var size = 0
       var bv = 0L
       var ub = 0
-      val members = scala.collection.mutable.ArrayBuffer[Int]()
-      var i = 0
-      while (i < ball.length) {
-        if (dist(i) <= r) {
-          val u = ball(i)
-          members += u
-          bv |= g.kwMask(u)
-          if (incSup(u) > ub) ub = incSup(u)
-        }
-        i += 1
+      while (size < ball.length && dist(size) <= r) {
+        val u = ball(size)
+        bv |= g.kwMask(u)
+        if (incSup(u) > ub) ub = incSup(u)
+        size += 1
       }
-      val cpp = MIA.influencedCpp(g, members.toArray, thetaGrid.head)
-      VertexAgg(v, r, bv, ub, thetaGrid.map(MIA.sigmaAt(cpp, _)))
+      val cpp = MIA.influencedCpp(g, java.util.Arrays.copyOf(ball, size), thetaGrid.head)
+      VertexAgg(v, r, bv, ub, thetaGrid.map(cpp.sigmaAt))
     }
   }
 

@@ -1,8 +1,6 @@
 package repro.influence
 
-import repro.graph.GraphData
-
-import scala.collection.mutable
+import repro.graph.{GraphData, Workspace}
 
 /** Maximum Influence Arborescence (MIA) propagation model [13] (paper
   * §II-B) and the influential score of Eq. (5).
@@ -13,66 +11,85 @@ import scala.collection.mutable
   * is every vertex with `cpp(g,v) ≥ θ` (Def. 3) and
   * `σ(g) = Σ_{v∈g^Inf} cpp(g,v)` (Eq. 5).
   *
-  * Max-product shortest paths are computed with a best-first (Dijkstra-
-  * style) expansion on probabilities: because every edge weight is < 1,
-  * path probability is monotonically non-increasing along a path, so the
-  * first time a vertex is settled its cpp is exact, and the expansion can
-  * stop as soon as the best frontier probability drops below θ.
+  * Max-product paths are computed with a best-first (Dijkstra-style)
+  * expansion on probabilities, on this thread's [[repro.graph.Workspace]]
+  * (epoch-stamped dense arrays and an array binary heap). Every weight is
+  * in (0, 1] and rounding is monotone, so `p·w ≤ p`: the probabilities
+  * settle in non-increasing order, the first settlement of a vertex is its
+  * exact cpp, and the expansion stops once the best frontier probability
+  * drops below θ. The settled sequence is therefore the list of cpp
+  * values ≥ θ sorted descending, whatever the seed order or graph layout,
+  * and every σ is summed in that order (see [[Cpp]]).
   */
 object MIA {
 
-  /** cpp map of the influenced community `g^Inf` of seed set `seed`:
-    * vertex → cpp(g, vertex), containing exactly the vertices with
-    * cpp ≥ θ (the seeds at 1.0). θ = 0 expands to everything reachable.
+  /** The influenced community g^Inf as parallel arrays in settlement
+    * order: `ids(i)` has cpp `probs(i)`, and `probs` is non-increasing.
     */
-  def influencedCpp(g: GraphData, seed: Array[Int], theta: Double): mutable.HashMap[Int, Double] = {
-    val cpp = mutable.HashMap[Int, Double]()
-    if (seed.isEmpty) return cpp
-    // max-heap on probability
-    val pq = mutable.PriorityQueue[(Double, Int)]()(Ordering.by(_._1))
-    val best = mutable.HashMap[Int, Double]()
-    seed.foreach { s => best(s) = 1.0; pq.enqueue((1.0, s)) }
-    while (pq.nonEmpty) {
-      val (p, u) = pq.dequeue()
-      if (!cpp.contains(u) && p >= theta && best(u) == p) {
-        cpp(u) = p
-        g.foreachNeighbor(u) { (v, w) =>
-          val np = p * w
-          if (np >= theta && !cpp.contains(v) && np > best.getOrElse(v, 0.0)) {
-            best(v) = np
-            pq.enqueue((np, v))
+  final case class Cpp(ids: Array[Int], probs: Array[Double]) {
+    def size: Int = ids.length
+
+    /** σ (Eq. 5), summed in settlement order. */
+    def sigma: Double = sigmaAt(Double.NegativeInfinity)
+
+    /** σ at a threshold θz at or above the one this map was expanded at:
+      * the prefix of `probs` that is ≥ θz, summed in the same order. The
+      * vertices with cpp ≥ θz and their cpp values do not depend on the
+      * expansion threshold, so this is bit-identical to `sigma` of a fresh
+      * expansion at θz.
+      */
+    def sigmaAt(thetaZ: Double): Double = {
+      var s = 0.0
+      var i = 0
+      while (i < probs.length && probs(i) >= thetaZ) { s += probs(i); i += 1 }
+      s
+    }
+  }
+
+  object Cpp {
+    val Empty: Cpp = Cpp(Array.emptyIntArray, Array.emptyDoubleArray)
+  }
+
+  /** g^Inf of seed set `seed`: exactly the vertices with cpp ≥ θ (the
+    * seeds at 1.0). θ = 0 expands to everything reachable.
+    */
+  def influencedCpp(g: GraphData, seed: Array[Int], theta: Double): Cpp = {
+    if (seed.isEmpty || theta > 1.0) return Cpp.Empty
+    val ws = Workspace.of(g.n)
+    val e = ws.nextEpoch()
+    ws.heapClear()
+    var i = 0
+    while (i < seed.length) {
+      val s = seed(i)
+      if (ws.stamp(s) != e) { ws.stamp(s) = e; ws.best(s) = 1.0; ws.push(1.0, s) }
+      i += 1
+    }
+    var size = 0
+    while (ws.heapNonEmpty) {
+      val p = ws.topP
+      val u = ws.topV
+      ws.pop()
+      // a stale entry was superseded by a larger probability for u
+      if (p == ws.best(u) && ws.settled(u) != e) {
+        ws.settled(u) = e
+        ws.outIds(size) = u; ws.outProbs(size) = p; size += 1
+        var j = g.offsets(u)
+        val end = g.offsets(u + 1)
+        while (j < end) {
+          val v = g.neigh(j)
+          val np = p * g.weight(j)
+          if (np >= theta && ws.settled(v) != e && np > (if (ws.stamp(v) == e) ws.best(v) else 0.0)) {
+            ws.stamp(v) = e; ws.best(v) = np
+            ws.push(np, v)
           }
+          j += 1
         }
       }
     }
-    cpp
+    Cpp(java.util.Arrays.copyOf(ws.outIds, size), java.util.Arrays.copyOf(ws.outProbs, size))
   }
 
   /** Influential score σ(g) at threshold θ (Eq. 5). */
   def sigma(g: GraphData, seed: Array[Int], theta: Double): Double =
-    sigmaOf(influencedCpp(g, seed, theta))
-
-  /** σ from an already-computed cpp map. */
-  def sigmaOf(cpp: mutable.HashMap[Int, Double]): Double = {
-    var s = 0.0
-    cpp.valuesIterator.foreach(s += _)
-    s
-  }
-
-  /** σ at a *higher* threshold derived from a cpp map computed at a lower
-    * one (exact: `{cpp ≥ θ'} ⊆ {cpp ≥ θ}` for θ' ≥ θ, and cpp values are
-    * threshold-independent for retained vertices). Used by the offline
-    * phase to get the whole σ_z grid from one expansion.
-    */
-  def sigmaAt(cpp: mutable.HashMap[Int, Double], thetaZ: Double): Double = {
-    var s = 0.0
-    cpp.valuesIterator.foreach(p => if (p >= thetaZ) s += p)
-    s
-  }
-
-  /** Single-source user-to-user propagation probability upp(u, ·) for all
-    * vertices with upp ≥ θ (Eq. 3). upp(u,u) = 1 by convention.
-    */
-  def upp(g: GraphData, u: Int, theta: Double = 0.0): mutable.HashMap[Int, Double] =
-    influencedCpp(g, Array(u), theta)
+    influencedCpp(g, seed, theta).sigma
 }

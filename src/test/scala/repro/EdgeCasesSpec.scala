@@ -38,14 +38,14 @@ class EdgeCasesSpec extends AnyFunSuite {
     // path 0→1 with weight exactly 0.5; θ = 0.5 must keep vertex 1
     val g = SocialGraph.fromEdges(2, Seq((0, 1)), w = 0.5)
     val cpp = MIA.influencedCpp(g, Array(0), 0.5)
-    assert(cpp.keySet == Set(0, 1))
+    assert(TestGraphs.cppMap(cpp).keySet == Set(0, 1))
   }
 
   test("MIA: disconnected vertex influences only itself") {
     val g = SocialGraph.fromEdges(3, Seq((1, 2)))
     val cpp = MIA.influencedCpp(g, Array(0), 0.1)
-    assert(cpp.keySet == Set(0))
-    assert(MIA.sigmaOf(cpp) == 1.0)
+    assert(TestGraphs.cppMap(cpp).keySet == Set(0))
+    assert(cpp.sigma == 1.0)
   }
 
   test("seed extraction with duplicate query keywords") {
@@ -74,7 +74,7 @@ class EdgeCasesSpec extends AnyFunSuite {
   }
 
   test("DTopL selectors with L = 0 return empty") {
-    val c = Community(0, Array(0), 1.0, Map(0 -> 1.0))
+    val c = Community(0, Array(0), 1.0, MIA.Cpp(Array(0), Array(1.0)))
     assert(DTopL.greedyWP(IndexedSeq(c), 0).selected.isEmpty)
     assert(DTopL.greedyWoP(IndexedSeq(c), 0).selected.isEmpty)
     assert(DTopL.optimal(IndexedSeq(c), 0).selected.isEmpty)
@@ -109,9 +109,9 @@ class EdgeCasesSpec extends AnyFunSuite {
   }
 
   test("Community.key distinguishes different vertex sets only") {
-    val a = Community(0, Array(1, 2, 3), 5.0, Map.empty)
-    val b = Community(9, Array(1, 2, 3), 5.0, Map.empty)
-    val c = Community(0, Array(1, 2, 4), 5.0, Map.empty)
+    val a = Community(0, Array(1, 2, 3), 5.0, MIA.Cpp.Empty)
+    val b = Community(9, Array(1, 2, 3), 5.0, MIA.Cpp.Empty)
+    val c = Community(0, Array(1, 2, 4), 5.0, MIA.Cpp.Empty)
     assert(Community.key(a.vertices) == Community.key(b.vertices))
     assert(Community.key(a.vertices) != Community.key(c.vertices))
   }

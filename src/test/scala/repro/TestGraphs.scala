@@ -2,6 +2,7 @@ package repro
 
 import repro.core.SeedExtract
 import repro.graph.{GraphData, SocialGraph}
+import repro.influence.MIA
 import repro.truss.Truss
 
 import scala.collection.mutable
@@ -176,6 +177,48 @@ object TestGraphs {
     best.toMap
   }
 
+  /** Reference cpp expansion: the boxed best-first search that `MIA` ran
+    * before its workspace kernel (two hash maps and a tuple priority
+    * queue). Same semantics: every vertex with cpp ≥ θ, seeds at 1.0.
+    */
+  def refCpp(g: GraphData, seed: Array[Int], theta: Double): Map[Int, Double] = {
+    val cpp = mutable.HashMap[Int, Double]()
+    val pq = mutable.PriorityQueue[(Double, Int)]()(Ordering.by(_._1))
+    val best = mutable.HashMap[Int, Double]()
+    seed.foreach { s => best(s) = 1.0; pq.enqueue((1.0, s)) }
+    while (pq.nonEmpty) {
+      val (p, u) = pq.dequeue()
+      if (!cpp.contains(u) && p >= theta && best(u) == p) {
+        cpp(u) = p
+        g.foreachNeighbor(u) { (v, w) =>
+          val np = p * w
+          if (np >= theta && !cpp.contains(v) && np > best.getOrElse(v, 0.0)) {
+            best(v) = np
+            pq.enqueue((np, v))
+          }
+        }
+      }
+    }
+    cpp.toMap
+  }
+
+  /** A cpp result as a vertex → cpp map. */
+  def cppMap(cpp: MIA.Cpp): Map[Int, Double] = cpp.ids.zip(cpp.probs).toMap
+
+  /** A vertex → cpp map as MIA's arrays, in settlement order (cpp
+    * descending, ties by id).
+    */
+  def cppOf(m: Map[Int, Double]): MIA.Cpp = {
+    val sorted = m.toArray.sortBy { case (v, p) => (-p, v) }
+    MIA.Cpp(sorted.map(_._1), sorted.map(_._2))
+  }
+
+  /** Single-source user-to-user propagation probability upp(u, ·) for all
+    * vertices with upp ≥ θ (Eq. 3), by the production kernel; upp(u,u) = 1.
+    */
+  def upp(g: GraphData, u: Int, theta: Double = 0.0): Map[Int, Double] =
+    cppMap(MIA.influencedCpp(g, Array(u), theta))
+
   /** Max incident whole-graph edge support per vertex, for the Spark-free
     * tests (the Spark join reference is in `PrecomputeSparkSpec`).
     */
@@ -191,7 +234,7 @@ object TestGraphs {
     val sigmaOf = mutable.HashMap[List[Int], Double]()
     (0 until g.n).foreach { v =>
       refSeed(g, v, q.r, q.k, q.keywords).foreach { seed =>
-        sigmaOf(seed.vertices.toList) = repro.influence.MIA.sigma(g, seed.vertices, q.theta)
+        sigmaOf(seed.vertices.toList) = MIA.sigma(g, seed.vertices, q.theta)
       }
     }
     def before(a: List[Int], b: List[Int]): Boolean = (a, b) match {

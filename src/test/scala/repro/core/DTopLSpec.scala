@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
-import repro.MiniChecks
+import repro.{MiniChecks, TestGraphs}
 
 import scala.util.Random
 
@@ -11,15 +11,23 @@ import scala.util.Random
   */
 class DTopLSpec extends AnyFunSuite with MiniChecks {
 
-  /** Synthetic candidates with random cpp maps over a universe of users. */
+  /** Synthetic candidates with random cpp maps over a universe of users;
+    * σ is the cpp sum, as `Community.scored` sets it.
+    */
   private def candidates(m: Int, universe: Int, seed: Long): IndexedSeq[Community] = {
     val rnd = new Random(seed)
     (0 until m).map { i =>
       val nCov = 1 + rnd.nextInt(universe)
-      val cpp = (0 until nCov).map(_ => rnd.nextInt(universe) -> (0.2 + 0.8 * rnd.nextDouble())).toMap
-      Community(i, Array(i), cpp.values.sum, cpp)
+      community(i, (0 until nCov).map(_ => rnd.nextInt(universe) -> (0.2 + 0.8 * rnd.nextDouble())).toMap)
     }
   }
+
+  private def community(center: Int, cpp: Map[Int, Double]): Community = {
+    val c = TestGraphs.cppOf(cpp)
+    Community(center, Array(center), c.sigma, c)
+  }
+
+  private def centers(r: DTopL.DResult): Seq[Int] = r.selected.map(_.center)
 
   test("diversity of a single community equals its σ") {
     candidates(5, 20, 1L).foreach { c =>
@@ -28,14 +36,14 @@ class DTopLSpec extends AnyFunSuite with MiniChecks {
   }
 
   test("diversity of disjoint communities is the sum of σ") {
-    val a = Community(0, Array(0), 0.9, Map(1 -> 0.4, 2 -> 0.5))
-    val b = Community(1, Array(1), 0.7, Map(3 -> 0.3, 4 -> 0.4))
+    val a = Community(0, Array(0), 0.9, TestGraphs.cppOf(Map(1 -> 0.4, 2 -> 0.5)))
+    val b = Community(1, Array(1), 0.7, TestGraphs.cppOf(Map(3 -> 0.3, 4 -> 0.4)))
     assert(math.abs(DTopL.diversity(Seq(a, b)) - 1.6) < 1e-12)
   }
 
   test("overlap counted once with the max cpp (Eq. 6)") {
-    val a = Community(0, Array(0), 0.9, Map(1 -> 0.4, 2 -> 0.5))
-    val b = Community(1, Array(1), 0.8, Map(1 -> 0.6, 3 -> 0.2))
+    val a = Community(0, Array(0), 0.9, TestGraphs.cppOf(Map(1 -> 0.4, 2 -> 0.5)))
+    val b = Community(1, Array(1), 0.8, TestGraphs.cppOf(Map(1 -> 0.6, 3 -> 0.2)))
     assert(math.abs(DTopL.diversity(Seq(a, b)) - (0.6 + 0.5 + 0.2)) < 1e-12)
   }
 
@@ -67,6 +75,21 @@ class DTopLSpec extends AnyFunSuite with MiniChecks {
       val wop = DTopL.greedyWoP(cs, l)
       assert(math.abs(wp.score - wop.score) < 1e-9,
         s"WP=${wp.score} WoP=${wop.score}")
+      assert(centers(wp) == centers(wop), s"WP=${centers(wp)} WoP=${centers(wop)}")
+    }
+  }
+
+  test("tied candidates: Greedy_WP picks what Greedy_WoP picks, smallest index first") {
+    // duplicated candidates share one cpp array, so every ΔD ties within a
+    // group: the pick order must follow the candidate index
+    forAllN3(Gen.chooseNum(2, 6), Gen.chooseNum(1, 40), Gen.chooseNum(1, 8), n = 60) { (m, seed, l) =>
+      val base = candidates(m, 12, seed.toLong)
+      val rnd = new Random(seed.toLong + 7)
+      val cs = (0 until 3 * m).map(j => base(rnd.nextInt(m)).copy(center = j))
+      val wp = DTopL.greedyWP(cs, l)
+      val wop = DTopL.greedyWoP(cs, l)
+      assert(centers(wp) == centers(wop), s"WP=${centers(wp)} WoP=${centers(wop)}")
+      assert(wp.score == wop.score)
     }
   }
 

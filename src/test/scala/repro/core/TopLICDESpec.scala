@@ -2,8 +2,11 @@ package repro.core
 
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
+import repro.graph.SocialGraph
 import repro.index.Precompute
 import repro.{MiniChecks, TestGraphs}
+
+import scala.util.Random
 
 /** End-to-end correctness of the pruned, index-driven Algorithm 3: it must
   * return exactly the brute-force ground truth (all pruning lemmas are
@@ -24,6 +27,50 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
     assert(TopLICDE.thetaZIndex(grid, 0.95) == 2)
     assert(TopLICDE.thetaZIndex(grid, 0.1) == 0)
     assert(TopLICDE.thetaZIndex(grid, 0.05) == -1)
+  }
+
+  test("thetaZIndex is exact: one ulp below a grid value picks the value below") {
+    assert(TopLICDE.thetaZIndex(grid, Math.nextDown(0.3)) == 1)
+    assert(TopLICDE.thetaZIndex(grid, Math.nextDown(0.1)) == -1)
+  }
+
+  test("θ one ulp below a grid value: the top-1 matches refTopL") {
+    // A = {0,1,2} reaches 3 at cpp 1.0 and 4, 5 at cpp θ, so σ(A) = 4 + 2θ;
+    // B = {6..9} reaches 10 at 0.5, so σ(B) = 4.5. The 0.3 column of A's
+    // balls leaves 4 and 5 out (4.0 < σ(B)): as a bound it would prune A.
+    val t = Math.nextDown(0.3)
+    val k4 = for { u <- 6 to 9; v <- (u + 1) to 9 } yield (u, v)
+    val g = SocialGraph.fromEdges(11,
+      Seq((0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (3, 5), (6, 10)) ++ k4,
+      keywords = Seq(3, 4, 5, 10).map(_ -> Seq(1)).toMap,
+      w = 0.05,
+      directedWeights = Map((0, 3) -> 1.0, (3, 4) -> t, (3, 5) -> t, (6, 10) -> 0.5))
+    val q = Query(Array(0), 3, 1, t, 1)
+    val want = TestGraphs.refTopL(g, q)
+    assert(want.map(_._2) == Seq(Seq(0, 1, 2)))
+    for { rMax <- 1 to 2; fanout <- Seq(2, 4, 32) }
+      TestGraphs.assertSameAnswers(answers(TopLICDE.run(g, TestGraphs.localIndex(g, rMax, fanout), grid, q)), want)
+  }
+
+  test("property: a community equal to its own ball has bound = σ and is found, not pruned") {
+    // disjoint cliques: for r = 1 each is its members' ball and their seed
+    // community, so the vertex-level bound at a grid θ is exactly σ; equal
+    // sizes tie, and strict pruning must keep the tied copy
+    forAllN3(Gen.chooseNum(3, 6), Gen.chooseNum(1, 60), Gen.oneOf(grid.toSeq), n = 40) { (m, seed, theta) =>
+      val rnd = new Random(seed.toLong)
+      val sizes = Seq(m, m, 3 + rnd.nextInt(4))
+      val offsets = sizes.scanLeft(rnd.nextInt(3)) { case (o, s) => o + s + rnd.nextInt(3) }
+      val g = TestGraphs.cliques(offsets.last, sizes.indices.map(i => (offsets(i), sizes(i), false)))
+      val idx = TestGraphs.localIndex(g, 1, fanout = 2 + rnd.nextInt(4))
+      val zi = TopLICDE.thetaZIndex(grid, theta)
+      repro.index.TreeIndex.vertices(idx).foreach { v =>
+        SeedExtract.extract(g, v.id, 1, 3, Array(0)).foreach { seed =>
+          assert(v.agg.sigmas(0)(zi) == repro.influence.MIA.sigma(g, seed.vertices, theta), s"center ${v.id}")
+        }
+      }
+      val q = Query(Array(0), 3, 1, theta, 1 + rnd.nextInt(3))
+      TestGraphs.assertSameAnswers(answers(TopLICDE.run(g, idx, grid, q)), TestGraphs.refTopL(g, q))
+    }
   }
 
   test("answers are sorted by σ descending") {

@@ -77,7 +77,7 @@ class PrecomputeLocalSpec extends AnyFunSuite with MiniChecks {
           SeedExtract.extract(g, v, row.r, 3, query).foreach { community =>
             grid.zipWithIndex.foreach { case (tz, z) =>
               val actual = MIA.sigma(g, community.vertices, tz)
-              assert(row.sigmas(z) >= actual - 1e-9,
+              assert(row.sigmas(z) >= actual,
                 s"σ bound violated: v=$v r=${row.r} θ_z=$tz bound=${row.sigmas(z)} actual=$actual")
             }
           }
@@ -95,7 +95,7 @@ class PrecomputeLocalSpec extends AnyFunSuite with MiniChecks {
         Precompute.localVertexAggs(g, inc, v, 2, grid).foreach { row =>
           val ball = dist.collect { case (u, d) if d <= row.r => u }.toArray
           grid.zipWithIndex.foreach { case (tz, z) =>
-            assert(math.abs(row.sigmas(z) - MIA.sigma(g, ball, tz)) < 1e-9)
+            assert(row.sigmas(z) == MIA.sigma(g, ball, tz))
           }
         }
       }
@@ -108,7 +108,7 @@ class PrecomputeLocalSpec extends AnyFunSuite with MiniChecks {
       val inc = TestGraphs.localIncSup(g)
       (0 until n).foreach { v =>
         Precompute.localVertexAggs(g, inc, v, 3, grid).foreach { row =>
-          row.sigmas.sliding(2).foreach(p => if (p.length == 2) assert(p(0) >= p(1) - 1e-12))
+          row.sigmas.sliding(2).foreach(p => if (p.length == 2) assert(p(0) >= p(1)))
         }
       }
     }
@@ -124,7 +124,7 @@ class PrecomputeLocalSpec extends AnyFunSuite with MiniChecks {
           case Seq(a, b) =>
             assert((a.bv | b.bv) == b.bv)
             assert(b.ubSup >= a.ubSup)
-            a.sigmas.zip(b.sigmas).foreach { case (x, y) => assert(y >= x - 1e-9) }
+            a.sigmas.zip(b.sigmas).foreach { case (x, y) => assert(y >= x) }
           case _ =>
         }
       }

@@ -1,7 +1,7 @@
 package repro.influence
 
 import repro.graph.{GraphGen, SocialGraph}
-import repro.SparkSpec
+import repro.{SparkSpec, TestGraphs}
 
 /** Distributed max-product propagation vs the local Dijkstra-style MIA. */
 class DistributedMIASpec extends SparkSpec {
@@ -10,7 +10,7 @@ class DistributedMIASpec extends SparkSpec {
   private lazy val gd = SocialGraph.toGraphData(gf)
 
   test("distributed cpp equals local cpp for a singleton seed") {
-    val local = MIA.influencedCpp(gd, Array(7), 0.2)
+    val local = TestGraphs.cppMap(MIA.influencedCpp(gd, Array(7), 0.2))
     val dist = DistributedMIA.influencedCpp(spark, gf.edges, Seq(7), 0.2)
       .collect().map(r => r.getLong(0).toInt -> r.getDouble(1)).toMap
     assert(dist.keySet == local.keySet)
@@ -20,7 +20,7 @@ class DistributedMIASpec extends SparkSpec {
   test("distributed cpp equals local cpp for a multi-vertex seed at every grid θ") {
     val seed = Seq(3, 50, 99)
     Seq(0.1, 0.2, 0.3).foreach { theta =>
-      val local = MIA.influencedCpp(gd, seed.toArray, theta)
+      val local = TestGraphs.cppMap(MIA.influencedCpp(gd, seed.toArray, theta))
       val dist = DistributedMIA.influencedCpp(spark, gf.edges, seed, theta)
         .collect().map(r => r.getLong(0).toInt -> r.getDouble(1)).toMap
       assert(dist.keySet == local.keySet, s"θ=$theta")
