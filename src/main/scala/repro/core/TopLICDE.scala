@@ -67,13 +67,22 @@ object Community {
   }
 }
 
-/** Which pruning strategies are active — the ablation knob of Fig. 4. */
+/** Which pruning strategies are active — the ablation knob of Fig. 4.
+  * `keyword`, `support` and `score` are the paper's three strategies
+  * (Lemmas 1/5, 2/6, 4/7); `certificate` is the trussness certificate of
+  * [[TopLICDE.certified]], which the paper does not have: the paper's
+  * Fig. 4 rows and Fig. 2's "no certificate" column turn it off.
+  */
 final case class PruningConfig(
     keyword: Boolean = true,
     support: Boolean = true,
-    score: Boolean = true)
+    score: Boolean = true,
+    certificate: Boolean = true)
 
-/** Counters reported by the ablation study (Fig. 4). */
+/** Counters reported by the ablation study (Fig. 4). Every r-hop
+  * candidate (vertex of G) is counted once, either under a pruning
+  * counter or under `refined`: `totalPruned + refined = |V|`.
+  */
 final class PruneStats {
   var entriesKeywordPruned = 0L   // index entries (Lemma 5)
   var entriesSupportPruned = 0L   // index entries (Lemma 6, safe form)
@@ -81,13 +90,14 @@ final class PruneStats {
   var vertexKeywordPruned = 0L    // r-hop candidates (Lemma 1 via BV_r)
   var vertexSupportPruned = 0L    // r-hop candidates (Lemma 2)
   var vertexScorePruned = 0L      // r-hop candidates (Lemma 4)
+  var vertexTrussPruned = 0L      // r-hop candidates failing the trussness certificate
   var heapTerminated = 0L         // remaining heap entries cut at termination
   var refined = 0L                // candidates fully refined
   var duplicates = 0L             // candidates equal to an already-kept community
   var noCommunity = 0L            // refinement found no valid seed community
   def totalPruned: Long =
     entriesKeywordPruned + entriesSupportPruned + entriesScorePruned +
-      vertexKeywordPruned + vertexSupportPruned + vertexScorePruned + heapTerminated
+      vertexKeywordPruned + vertexSupportPruned + vertexScorePruned + vertexTrussPruned + heapTerminated
 }
 
 final case class TopLResult(communities: Seq[Community], stats: PruneStats)
@@ -98,7 +108,9 @@ final case class TopLResult(communities: Seq[Community], stats: PruneStats)
   * 1, 2, 4), followed by exact refinement (seed extraction + MIA score).
   *
   * Support pruning uses the *safe* form `ub_sup < k−2` (the paper's
-  * printed `< k` can prune true answers; see DESIGN.md).
+  * printed `< k` can prune true answers; see DESIGN.md). A center that
+  * passes every test is refined only if it holds the trussness
+  * certificate ([[certified]]).
   */
 object TopLICDE {
 
@@ -115,6 +127,29 @@ object TopLICDE {
       i += 1
     }
     z
+  }
+
+  /** The trussness certificate of center v (DESIGN "Trussness
+    * certificate"): for k ≥ 3, v has at least k−1 neighbours u that match Q
+    * with edge trussness τ(v,u) ≥ k. Every seed community centered at v is a
+    * k-truss of Q-matching vertices in which v keeps an edge (v,u) lying in
+    * ≥ k−2 triangles: u and those k−2 third vertices are such neighbours.
+    * So a center without the certificate has no community. Vacuous for
+    * k ≤ 2, where a singleton is a community.
+    */
+  def certified(g: GraphData, v: Int, q: Query): Boolean = q.k <= 2 || {
+    val need = q.k - 1
+    val tau = g.edgeTruss
+    var count = 0
+    var i = g.offsets(v)
+    val end = g.offsets(v + 1)
+    while (i < end && count < need) {
+      val u = g.neigh(i)
+      if (tau(i) >= q.k && KeywordBV.mayIntersect(g.kwMask(u), q.queryBv) && g.matchesQuery(u, q.keywords))
+        count += 1
+      i += 1
+    }
+    count >= need
   }
 
   /** Answer `q`: the top L communities under [[Community.Ranking]], each
@@ -186,7 +221,11 @@ object TopLICDE {
             // r-hop candidate before any ball/ball-BV work.
             if (cfg.keyword && !KeywordBV.mayIntersect(g.kwMask(v.id), q.queryBv))
               stats.vertexKeywordPruned += 1
-            else if (!pruned(v.agg, vertexLevel = true, weight = 1)) refine(v)
+            else if (!pruned(v.agg, vertexLevel = true, weight = 1)) {
+              // last, as it scans v's row: the O(1) tests above go first
+              if (cfg.certificate && !certified(g, v.id, q)) stats.vertexTrussPruned += 1
+              else refine(v)
+            }
           }
         case Inner(_, cs) =>
           cs.foreach { c =>

@@ -98,9 +98,14 @@ object Experiments {
   }
 
   // ---- Fig. 2: TopL-ICDE vs ATindex ---------------------------------------
+  /** `topLMs` runs Alg. 3 with the trussness certificate, `topLNoCertMs`
+    * without it. `speedup` compares ATindex with the latter, the paper's
+    * algorithm; ATindex keeps the paper's vertex filter τ(v) ≥ k.
+    */
   final case class Fig2Row(
       graph: String,
       topLMs: Double,
+      topLNoCertMs: Double,
       atOfflineMs: Double,
       atOnlineMs: Double,
       atRefined: Long,
@@ -112,9 +117,10 @@ object Experiments {
       val built = buildCached(spark, c.name, c.gf)
       val q = query()
       val (_, topLMs) = medianMs(5)(built.topL(q))
+      val (_, noCertMs) = medianMs(5)(built.topL(q, PruningConfig(certificate = false)))
       val (off, atOffMs) = timeMs(ATindex.offline(built.g))
       val ((_, refined), atMs) = medianMs(3)(ATindex.query(built.g, off, q))
-      Fig2Row(c.name, topLMs, atOffMs, atMs, refined, atMs / math.max(topLMs, 1e-9))
+      Fig2Row(c.name, topLMs, noCertMs, atOffMs, atMs, refined, atMs / math.max(noCertMs, 1e-9))
     }
   }
 
@@ -171,18 +177,26 @@ object Experiments {
     }
 
   // ---- Fig. 4: pruning ablation -------------------------------------------
+  /** One configuration on one graph; `answers` are the sorted vertex
+    * arrays of the top L, in answer order.
+    */
   final case class AblationRow(
       graph: String,
       config: String,
       pruned: Long,
       refined: Long,
-      ms: Double)
+      ms: Double,
+      answers: Seq[Seq[Int]])
 
+  /** The paper's three rows, with the trussness certificate off, and a
+    * fourth that adds it.
+    */
   def fig4(spark: SparkSession): Seq[AblationRow] = {
     val configs = Seq(
-      "keyword" -> PruningConfig(keyword = true, support = false, score = false),
-      "keyword+support" -> PruningConfig(keyword = true, support = true, score = false),
-      "keyword+support+score" -> PruningConfig(keyword = true, support = true, score = true))
+      "keyword" -> PruningConfig(support = false, score = false, certificate = false),
+      "keyword+support" -> PruningConfig(score = false, certificate = false),
+      "keyword+support+score" -> PruningConfig(certificate = false),
+      "keyword+support+score+certificate" -> PruningConfig())
     val cases = synthetic(spark, DefaultN) ++ likeGraphs(spark)
     for {
       c <- cases
@@ -190,7 +204,8 @@ object Experiments {
       (label, cfg) <- configs
     } yield {
       val (res, ms) = timeMs(built.topL(query(), cfg))
-      AblationRow(c.name, label, res.stats.totalPruned, res.stats.refined, ms)
+      AblationRow(c.name, label, res.stats.totalPruned, res.stats.refined, ms,
+        res.communities.map(_.vertices.toSeq))
     }
   }
 

@@ -2,6 +2,7 @@ package repro.graph
 
 import org.apache.spark.sql.{DataFrame, Row}
 import repro.keywords.KeywordBV
+import repro.truss.Truss
 
 import scala.collection.mutable
 
@@ -22,6 +23,9 @@ import scala.collection.mutable
   * @param weight   activation probability p(u → neigh(i)), parallel to `neigh`
   * @param keywords per-vertex sorted keyword sets (exact membership checks)
   * @param kwMask   per-vertex keyword bit vector `v.BV` (pruning filter)
+  *
+  * The edge trussness [[edgeTruss]] is derived once from these arrays and
+  * is not part of the value: it is left out of equality and serialization.
   */
 final case class GraphData(
     n: Int,
@@ -31,6 +35,17 @@ final case class GraphData(
     keywords: Array[Array[Int]],
     kwMask: Array[Long]
 ) extends Serializable {
+
+  /** τ(e), the trussness of every edge in G (the largest k such that e lies
+    * in a k-truss of G), parallel to `neigh` and equal on both slots of an
+    * edge. Computed on first use; `Pipeline.build` forces it inside its
+    * timed span. `@transient` keeps it out of the Spark broadcasts of G:
+    * only Alg. 3's trussness certificate, on the driver, reads it.
+    */
+  @transient lazy val edgeTruss: Array[Int] = {
+    val rows = Truss.Rows(offsets, neigh)
+    Truss.trussness(rows, rows.allAlive)
+  }
 
   /** Number of undirected edges |E(G)| (each stored twice). */
   def numUndirectedEdges: Long = neigh.length.toLong / 2
@@ -111,13 +126,18 @@ object SocialGraph {
     val keywords = new Array[Array[Int]](n)
     val kwMask = new Array[Long](n)
     vRows.foreach { r =>
-      val id = r.getLong(0).toInt
+      val id = r.getLong(0)
       val ks = r.getSeq[Int](1).toArray.sorted
-      require(id >= 0 && id < n, s"vertex ids must be dense 0..n-1, got $id of $n")
-      keywords(id) = ks
-      kwMask(id) = KeywordBV.hashSet(ks)
+      require(id >= 0 && id < n, s"vertex row $id: ids must be dense 0..n-1, n = $n")
+      require(keywords(id.toInt) == null, s"repeated vertex row $id")
+      keywords(id.toInt) = ks
+      kwMask(id.toInt) = KeywordBV.hashSet(ks)
     }
     val eRows: Array[Row] = gf.edges.select("src", "dst", "weight").collect()
+    eRows.foreach { r =>
+      val (s, d) = (r.getLong(0), r.getLong(1))
+      require(s >= 0 && s < n && d >= 0 && d < n, s"edge row ($s, $d) has an end outside 0..n-1, n = $n")
+    }
     val deg = new Array[Int](n)
     eRows.foreach(r => deg(r.getLong(0).toInt) += 1)
     val offsets = new Array[Int](n + 1)

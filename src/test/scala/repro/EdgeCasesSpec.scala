@@ -96,8 +96,8 @@ class EdgeCasesSpec extends AnyFunSuite {
     val s = new PruneStats
     s.entriesKeywordPruned = 1; s.entriesSupportPruned = 2; s.entriesScorePruned = 3
     s.vertexKeywordPruned = 4; s.vertexSupportPruned = 5; s.vertexScorePruned = 6
-    s.heapTerminated = 7
-    assert(s.totalPruned == 28)
+    s.vertexTrussPruned = 7; s.heapTerminated = 8
+    assert(s.totalPruned == 36)
   }
 
   test("GraphData.hopBall on a ring wraps both directions") {

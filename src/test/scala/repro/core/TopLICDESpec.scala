@@ -168,7 +168,7 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
       val g = TestGraphs.random(n, 0.3, sigma = 5, seed = seed.toLong)
       val idx = TestGraphs.localIndex(g, 2)
       val q = Query(Array(0, 1), 3, 2, 0.2, 2)
-      val none = TopLICDE.run(g, idx, grid, q, PruningConfig(false, false, false))
+      val none = TopLICDE.run(g, idx, grid, q, PruningConfig(false, false, false, certificate = false))
       val all = TopLICDE.run(g, idx, grid, q, PruningConfig(true, true, true))
       assert(all.stats.refined <= none.stats.refined)
       assert(none.stats.totalPruned == 0)
@@ -200,5 +200,71 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
       val b = answers(TopLICDE.run(g, TestGraphs.localIndex(g, 2, fanout = 16), grid, q))
       TestGraphs.assertSameAnswers(a, b)
     }
+  }
+
+  test("property: a center without the trussness certificate has no seed community") {
+    val gen = Gen.zip(
+      Gen.chooseNum(8, 40),        // n
+      Gen.chooseNum(1, 200),       // seed
+      Gen.chooseNum(3, 5),         // k
+      Gen.chooseNum(1, 3),         // r
+      Gen.chooseNum(1, 4))         // |Q|
+    var failing = 0
+    forAllN(gen, n = 80) { case (n, seed, k, r, qSize) =>
+      val rnd = new Random(seed.toLong)
+      val g = TestGraphs.random(n, 0.2 + 0.3 * rnd.nextDouble(), sigma = 5, kwPerVertex = 2, seed = seed.toLong)
+      val q = Query(rnd.shuffle((0 until 5).toList).take(qSize).toArray, k, r, 0.2, 1)
+      (0 until g.n).filterNot(TopLICDE.certified(g, _, q)).foreach { v =>
+        failing += 1
+        assert(TestGraphs.refSeed(g, v, r, k, q.keywords).isEmpty, s"center $v fails the certificate but has a community")
+      }
+    }
+    assert(failing > 0, "the certificate never fired")
+  }
+
+  test("the trussness certificate is vacuous for k <= 2") {
+    val g = SocialGraph.fromEdges(3, Seq((0, 1)))
+    assert((0 until 3).forall(TopLICDE.certified(g, _, Query(Array(0), 2, 1, 0.2, 1))))
+  }
+
+  test("property: the certificate changes only refined and noCommunity, by vertexTrussPruned") {
+    val configs = for { kw <- Seq(false, true); sup <- Seq(false, true); sc <- Seq(false, true) }
+      yield PruningConfig(kw, sup, sc)
+    def others(s: PruneStats): Seq[Long] = Seq(s.entriesKeywordPruned, s.entriesSupportPruned,
+      s.entriesScorePruned, s.vertexKeywordPruned, s.vertexSupportPruned, s.vertexScorePruned,
+      s.heapTerminated, s.duplicates)
+    def reported(res: TopLResult): Seq[(Int, Seq[Int], Double)] =
+      res.communities.map(c => (c.center, c.vertices.toSeq, c.sigma))
+    val gen = Gen.zip(
+      Gen.chooseNum(1, 60),        // seed
+      Gen.oneOf(false, true),      // tied cliques or a random graph
+      Gen.chooseNum(2, 5),         // k
+      Gen.chooseNum(1, 2),         // r
+      Gen.oneOf(grid.toSeq :+ 0.25),
+      Gen.chooseNum(1, 4))         // L
+    var skipped = 0L
+    forAllN(gen, n = 40) { case (seed, tied, k, r, theta, l) =>
+      val rnd = new Random(seed.toLong)
+      val g =
+        if (tied) {
+          val m = 3 + rnd.nextInt(3)
+          TestGraphs.cliques(4 * m + 2, Seq((0, m, true), (m + 1, m, false), (2 * m + 2, 2 + rnd.nextInt(m), false)))
+        } else TestGraphs.random(8 + rnd.nextInt(25), 0.3, sigma = 5, seed = seed.toLong)
+      val idx = TestGraphs.localIndex(g, 2, fanout = 2 + rnd.nextInt(4))
+      val q = Query(Array(0, 1), k, r, theta, l)
+      configs.foreach { cfg =>
+        val on = TopLICDE.run(g, idx, grid, q, cfg)
+        val off = TopLICDE.run(g, idx, grid, q, cfg.copy(certificate = false))
+        Seq(on, off).foreach(res => assert(res.stats.totalPruned + res.stats.refined == g.n, cfg.toString))
+        assert(reported(on) == reported(off), cfg.toString)
+        assert(others(on.stats) == others(off.stats), cfg.toString)
+        val cut = on.stats.vertexTrussPruned
+        assert(off.stats.vertexTrussPruned == 0)
+        assert(off.stats.refined - on.stats.refined == cut, cfg.toString)
+        assert(off.stats.noCommunity - on.stats.noCommunity == cut, cfg.toString)
+        skipped += cut
+      }
+    }
+    assert(skipped > 0, "the certificate never fired")
   }
 }

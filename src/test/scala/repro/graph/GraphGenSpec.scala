@@ -146,17 +146,19 @@ class GraphGenSpec extends SparkSpec {
     }
   }
 
-  /** toGraphData of three vertices with keyword {0} and the given
-    * (src, dst, weight) rows; the error message if it rejects them.
+  /** toGraphData of the vertex ids `ids`, each with keyword {0}, and the
+    * given (src, dst, weight) rows; the error message if it rejects them.
     */
-  private def ingest(rows: (Long, Long, Double)*): Either[String, GraphData] = {
+  private def ingest(ids: Seq[Long], rows: (Long, Long, Double)*): Either[String, GraphData] = {
     import spark.implicits._
     val gf = SocialGraph.GraphFrames(
-      Seq((0L, Seq(0)), (1L, Seq(0)), (2L, Seq(0))).toDF("id", "keywords"),
+      ids.map(id => (id, Seq(0))).toDF("id", "keywords"),
       rows.toDF("src", "dst", "weight"))
     try Right(SocialGraph.toGraphData(gf))
     catch { case e: IllegalArgumentException => Left(e.getMessage) }
   }
+
+  private def ingest(rows: (Long, Long, Double)*): Either[String, GraphData] = ingest(Seq(0L, 1L, 2L), rows: _*)
 
   private val pair = Seq((0L, 1L, 0.5), (1L, 0L, 0.5))
 
@@ -181,5 +183,17 @@ class GraphGenSpec extends SparkSpec {
       assert(err.left.exists(m => m.contains("outside (0, 1]") && m.contains("(1, 0)")), s"w=$w: $err")
     }
     assert(ingest((0L, 1L, 1.0), (1L, 0L, 1e-9)).isRight, "1 and tiny positive weights are valid")
+  }
+
+  test("toGraphData rejects an edge row with an end outside 0..n-1, naming the row") {
+    Seq((1L, 3L), (3L, 1L), (-1L, 0L), (0L, -1L)).foreach { case (a, b) =>
+      val err = ingest(pair ++ Seq((a, b, 0.5), (b, a, 0.5)): _*)
+      assert(err.left.exists(m => m.contains("outside 0..n-1") && m.contains(s"($a, $b)")), s"($a, $b): $err")
+    }
+  }
+
+  test("toGraphData rejects a repeated vertex id, naming the row") {
+    val err = ingest(Seq(0L, 1L, 1L), pair: _*)
+    assert(err.left.exists(m => m.contains("repeated vertex row 1")), err)
   }
 }
