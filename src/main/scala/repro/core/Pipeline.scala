@@ -46,8 +46,7 @@ object Pipeline {
     val t0 = System.nanoTime()
     val g = SocialGraph.toGraphData(gf)
     g.edgeTruss // computed once here, so the first query does not pay for it
-    val rows = Precompute.offline(spark, g, rMax, thetaGrid)
-    val index = TreeIndex.build(rows)
+    val index = TreeIndex.build(Precompute.offline(spark, g, rMax, thetaGrid))
     Built(g, index, thetaGrid, rMax, (System.nanoTime() - t0) / 1000000L)
   }
 }

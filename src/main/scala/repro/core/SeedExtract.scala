@@ -17,7 +17,7 @@ import repro.truss.Truss
   * iterate peel → BFS radius/reachability filter to a fixpoint (each
   * round strictly shrinks the vertex set, so it terminates). The ball's
   * sorted rows keep the global vertex order, so the community comes out
-  * sorted.
+  * as its sorted members, which determine its edges.
   *
   * For k ≥ 3 the center must keep at least one edge in the truss — a
   * community is a group, not an isolated user; for k ≤ 2 (vacuous truss
@@ -26,13 +26,10 @@ import repro.truss.Truss
   */
 object SeedExtract {
 
-  /** A seed community as a *subgraph*: its (sorted) global vertex ids and
-    * its undirected edge set (canonical u < v, sorted). The edge set
-    * matters: a maximal k-truss is an edge subgraph — the induced graph on
-    * its vertex set may contain peeled-away low-support edges that are NOT
-    * part of the community.
+  /** A seed community: its sorted global vertex ids. Its edge set is the
+    * maximal k-truss of G[vertices] (DESIGN "A seed community is its members").
     */
-  final case class Seed(vertices: Array[Int], edges: Array[(Int, Int)])
+  final case class Seed(vertices: Array[Int])
 
   /** The keyword-filtered r-hop ball around `center` (Lemma 1 applied
     * exactly, per Def. 2 bullet 4): the vertices of hop(center, r) that
@@ -71,9 +68,6 @@ object SeedExtract {
       rows.foreachSlot((v, i) => if (d(v) > r && alive(i)) { rows.cut(alive, i); changed = true })
     }
     // at the fixpoint every vertex with edges is within r of the center
-    val members = (0 until rows.n).filter(v => v == c || rows.degree(alive, v) > 0)
-    val edges = Array.newBuilder[(Int, Int)]
-    rows.foreachSlot((u, i) => if (alive(i) && u < rows.neigh(i)) edges += ((global(u), global(rows.neigh(i)))))
-    Some(Seed(members.map(global).toArray, edges.result()))
+    Some(Seed(Array.range(0, rows.n).filter(v => v == c || rows.degree(alive, v) > 0).map(global)))
   }
 }

@@ -227,7 +227,7 @@ object Experiments {
     // matches the query, so it is in the ball)
     val (kept, rows) = SeedExtract.filteredBall(g, top1.center, q.r, q.keywords)
     val center = java.util.Arrays.binarySearch(kept, top1.center)
-    val core = KCore.kCoreCommunity(rows, center, q.k).toArray.sorted.map(kept)
+    val core = KCore.kCoreCommunity(rows, center, q.k).map(kept)
     val coreCpp = MIA.influencedCpp(g, core, q.theta)
     Seq(
       CaseStudyRow("TopL-ICDE (k-truss)", top1.center, top1.vertices.length, top1.sigma, top1.cpp.size),

@@ -3,13 +3,14 @@ package repro.index
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import repro.graph.GraphData
+import repro.index.TreeIndex.{Agg, VertexRef}
 import repro.influence.MIA
 import repro.truss.Truss
 
 /** Offline pre-computation (paper Algorithm 2).
   *
-  * For every vertex v and radius r ∈ [1, r_max] we compute the aggregates
-  * stored in the paper's per-vertex list `v.R`:
+  * For every vertex v we compute the paper's per-vertex list `v.R`, one
+  * [[TreeIndex.VertexRef]] whose arrays hold at r − 1, for r ∈ [1, r_max]:
   *
   *  - `bv`     — keyword bit vector of the r-hop ball, `v.BV_r`;
   *  - `ubSup`  — support upper bound `v.ub_sup_r` (max over ball vertices
@@ -35,9 +36,6 @@ object Precompute {
     */
   val DefaultThetaGrid: Array[Double] = Array(0.1, 0.2, 0.3)
 
-  /** One row of pre-computed data: the aggregates of `hop(id, r)`. */
-  final case class VertexAgg(id: Int, r: Int, bv: Long, ubSup: Int, sigmas: Array[Double])
-
   /** Max whole-graph support of the edges incident to each vertex (0 for
     * isolated vertices): [[repro.truss.Truss.supports]] over G's own sorted
     * CSR rows, folded per row.
@@ -54,21 +52,23 @@ object Precompute {
 
   private def incident(rows: Truss.Rows): Array[Int] = rows.rowMax(Truss.supports(rows, rows.allAlive))
 
-  /** The aggregates of vertex `v` for all radii — the per-vertex unit of
-    * work (paper Alg. 2 inner loop), also used directly by tests.
+  /** `v.R`: the aggregates of vertex `v` for all radii, indexed r − 1 — the
+    * per-vertex unit of work (paper Alg. 2 inner loop), also used directly
+    * by tests. One BFS ball, one MIA expansion per radius.
     */
-  def localVertexAggs(
+  def localVertexRef(
       g: GraphData,
       incSup: Array[Int],
       v: Int,
       rMax: Int,
-      thetaGrid: Array[Double]): Seq[VertexAgg] = {
+      thetaGrid: Array[Double]): VertexRef = {
     val (ball, dist) = g.hopBall(v, rMax)
-    (1 to rMax).map { r =>
+    val agg = Agg(new Array[Long](rMax), new Array[Int](rMax), new Array[Array[Double]](rMax))
+    var size = 0
+    var bv = 0L
+    var ub = 0
+    for (r <- 1 to rMax) {
       // BFS order: hop(v, r) is the prefix of the ball with dist ≤ r
-      var size = 0
-      var bv = 0L
-      var ub = 0
       while (size < ball.length && dist(size) <= r) {
         val u = ball(size)
         bv |= g.kwMask(u)
@@ -76,17 +76,26 @@ object Precompute {
         size += 1
       }
       val cpp = MIA.influencedCpp(g, java.util.Arrays.copyOf(ball, size), thetaGrid.head)
-      VertexAgg(v, r, bv, ub, thetaGrid.map(cpp.sigmaAt))
+      agg.bv(r - 1) = bv
+      agg.ubSup(r - 1) = ub
+      agg.sigmas(r - 1) = thetaGrid.map(cpp.sigmaAt)
     }
+    VertexRef(v, agg)
   }
 
-  /** Run the offline phase as a Spark job over all vertices. */
+  /** Run the offline phase as a Spark job over all vertices, one row each.
+    * The grid must ascend strictly: σ_z is expanded at its head and looked
+    * up by [[repro.core.TopLICDE.thetaZIndex]].
+    */
   def run(
       spark: SparkSession,
       bcG: Broadcast[GraphData],
       bcInc: Broadcast[Array[Int]],
       rMax: Int,
-      thetaGrid: Array[Double] = DefaultThetaGrid): Dataset[VertexAgg] = {
+      thetaGrid: Array[Double] = DefaultThetaGrid): Dataset[VertexRef] = {
+    require(rMax >= 1, s"rMax must be >= 1, got $rMax")
+    require(thetaGrid.nonEmpty && thetaGrid.indices.tail.forall(z => thetaGrid(z - 1) < thetaGrid(z)),
+      s"thetaGrid must be non-empty and strictly increasing, got [${thetaGrid.mkString(", ")}]")
     import spark.implicits._
     spark
       .range(bcG.value.n.toLong)
@@ -94,18 +103,18 @@ object Precompute {
       .mapPartitions { it =>
         val g = bcG.value
         val inc = bcInc.value
-        it.flatMap(v => localVertexAggs(g, inc, v.toInt, rMax, thetaGrid))
+        it.map(v => localVertexRef(g, inc, v.toInt, rMax, thetaGrid))
       }
   }
 
   /** Convenience: full offline phase from a [[GraphData]], returning the
-    * collected per-vertex aggregates ready for index construction.
+    * collected `v.R` of every vertex, ready for index construction.
     */
   def offline(
       spark: SparkSession,
       g: GraphData,
       rMax: Int,
-      thetaGrid: Array[Double] = DefaultThetaGrid): Array[VertexAgg] = {
+      thetaGrid: Array[Double] = DefaultThetaGrid): Array[VertexRef] = {
     val bcG = spark.sparkContext.broadcast(g)
     val bcInc = spark.sparkContext.broadcast(incidentMaxSupport(g))
     run(spark, bcG, bcInc, rMax, thetaGrid).collect()

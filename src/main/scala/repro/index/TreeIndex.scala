@@ -1,7 +1,5 @@
 package repro.index
 
-import repro.index.Precompute.VertexAgg
-
 /** The hierarchical tree index `I` (paper §V-B).
   *
   * Leaf nodes hold vertices with their per-radius pre-computed data
@@ -30,7 +28,7 @@ object TreeIndex {
     def size: Int
   }
 
-  /** One vertex with its pre-computed per-radius data (`v.R`). */
+  /** One vertex with its per-radius data (`v.R`), as [[Precompute]] emits it. */
   final case class VertexRef(id: Int, agg: Agg)
 
   final case class Leaf(agg: Agg, vertices: Array[VertexRef]) extends Node {
@@ -60,16 +58,14 @@ object TreeIndex {
     Agg(bv, ub, sg)
   }
 
-  /** Build the index from the offline rows, fanout γ. */
-  def build(rows: Array[VertexAgg], fanout: Int = 32): Node = {
-    require(rows.nonEmpty, "empty precompute output")
-    val byVertex = rows.groupBy(_.id)
-    val rMax = rows.map(_.r).max
-    val refs = byVertex.toArray.map { case (id, rs) =>
-      require(rs.map(_.r).sorted.sameElements(1 to rMax), s"vertex $id missing radii")
-      val sorted = rs.sortBy(_.r)
-      VertexRef(id, Agg(sorted.map(_.bv), sorted.map(_.ubSup), sorted.map(_.sigmas)))
-    }
+  /** Build the index over the vertices' `v.R`, fanout γ ≥ 2; every ref
+    * must carry the same number of radii.
+    */
+  def build(refs: Array[VertexRef], fanout: Int = 32): Node = {
+    require(fanout >= 2, s"fanout must be >= 2, got $fanout")
+    require(refs.nonEmpty, "empty precompute output")
+    val rMax = refs.head.agg.rMax
+    refs.foreach(v => require(v.agg.rMax == rMax, s"vertex ${v.id} has ${v.agg.rMax} radii, not $rMax"))
     // Sort key (paper: "average of ub_sup_r and σ_z"): mean of the σ grid
     // plus mean support bound — clusters high-bound vertices together.
     def sortKey(v: VertexRef): Double = {

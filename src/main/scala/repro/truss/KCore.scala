@@ -29,13 +29,13 @@ object KCore {
   }
 
   /** The k-core community around `center`: peel to the maximal k-core and
-    * take the connected component containing `center`. Empty if the center
-    * itself was peeled away.
+    * take the connected component containing `center`, as sorted local ids
+    * like a seed's members. Empty if the center itself was peeled away.
     */
-  def kCoreCommunity(rows: Truss.Rows, center: Int, k: Int): Set[Int] = {
+  def kCoreCommunity(rows: Truss.Rows, center: Int, k: Int): Array[Int] = {
     val alive = rows.allAlive
     kCorePeel(rows, alive, k)
-    if (rows.degree(alive, center) == 0) Set.empty
-    else Truss.bfsDist(rows, alive, center).zipWithIndex.collect { case (d, v) if d < Int.MaxValue => v }.toSet
+    if (rows.degree(alive, center) == 0) Array.emptyIntArray
+    else Truss.bfsDist(rows, alive, center).zipWithIndex.collect { case (d, v) if d < Int.MaxValue => v }
   }
 }

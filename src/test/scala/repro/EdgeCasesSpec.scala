@@ -63,9 +63,7 @@ class EdgeCasesSpec extends AnyFunSuite {
 
   test("single-vertex graph: precompute, index, and query run (k<=2 singleton)") {
     val g = SocialGraph.fromEdges(1, Nil, keywords = Map(0 -> Seq(0)))
-    val rows = (0 until 1).flatMap(v =>
-      Precompute.localVertexAggs(g, Array(0), v, 2, grid)).toArray
-    val idx = TreeIndex.build(rows)
+    val idx = TreeIndex.build(Array(Precompute.localVertexRef(g, Array(0), 0, 2, grid)))
     val res = TopLICDE.run(g, idx, grid, Query(Array(0), 2, 1, 0.2, 1))
     assert(res.communities.map(_.vertices.toSeq) == Seq(Seq(0)))
     assert(res.communities.head.sigma == 1.0)

@@ -1,6 +1,5 @@
 package repro
 
-import repro.core.SeedExtract
 import repro.graph.{GraphData, SocialGraph}
 import repro.influence.MIA
 import repro.truss.Truss
@@ -136,11 +135,17 @@ object TestGraphs {
     dist.toMap
   }
 
+  /** A reference seed community as a subgraph: sorted global members and
+    * sorted canonical (u < v) global edges.
+    */
+  final case class RefSeed(vertices: Array[Int], edges: Array[(Int, Int)])
+
   /** Reference seed community (Def. 2) that shares no truss code with
     * `src/main`: its own BFS ball, the keyword filter, the induced
     * neighbour sets, [[refKTruss]], then the radius filter, to a fixpoint.
+    * Its edges are the fixpoint's own, not derived from the members.
     */
-  def refSeed(g: GraphData, c: Int, r: Int, k: Int, q: Array[Int]): Option[SeedExtract.Seed] = {
+  def refSeed(g: GraphData, c: Int, r: Int, k: Int, q: Array[Int]): Option[RefSeed] = {
     if (!g.matchesQuery(c, q)) return None
     val ball = bfs(c, g.neighborsOf(_), r).keys.filter(g.matchesQuery(_, q)).toArray.sorted
     val local = ball.zipWithIndex.toMap
@@ -157,7 +162,17 @@ object TestGraphs {
     }
     val members = adj.indices.filter(v => v == lc || adj(v).nonEmpty).map(ball)
     val edges = edgeSet(adj).toSeq.map { case (u, v) => (ball(u) min ball(v), ball(u) max ball(v)) }
-    Some(SeedExtract.Seed(members.sorted.toArray, edges.sorted.toArray))
+    Some(RefSeed(members.sorted.toArray, edges.sorted.toArray))
+  }
+
+  /** The edge set of the seed community on `members`: the maximal k-truss
+    * of G[members] ([[refKTruss]] on the induced neighbour sets), as sorted
+    * canonical (u < v) global edges.
+    */
+  def seedEdges(g: GraphData, members: Array[Int], k: Int): Array[(Int, Int)] = {
+    val local = members.zipWithIndex.toMap
+    val adj: Adj = members.map(v => mutable.HashSet.from(g.neighborsOf(v).flatMap(local.get)))
+    edgeSet(refKTruss(adj, k)).toArray.map { case (u, v) => (members(u), members(v)) }.sorted
   }
 
   /** Reference upp(u, ·): exhaustive simple-path enumeration (small graphs
@@ -267,9 +282,8 @@ object TestGraphs {
   def localIndex(g: GraphData, rMax: Int, fanout: Int = 4): repro.index.TreeIndex.Node = {
     import repro.index.{Precompute, TreeIndex}
     val inc = localIncSup(g)
-    val rows = (0 until g.n).flatMap(v =>
-      Precompute.localVertexAggs(g, inc, v, rMax, Precompute.DefaultThetaGrid)).toArray
-    TreeIndex.build(rows, fanout)
+    val refs = Array.tabulate(g.n)(Precompute.localVertexRef(g, inc, _, rMax, Precompute.DefaultThetaGrid))
+    TreeIndex.build(refs, fanout)
   }
 
   /** Disjoint cliques K_m, each `(offset, m, pendant)`: vertices offset …

@@ -21,9 +21,8 @@ class HopAggSpec extends SparkSpec {
 
   test("distributed BV_r / ubsup_r equal the local Precompute aggregates for r=1..3") {
     val inc = TestGraphs.localIncSup(gd)
-    val local = (0 until gd.n).flatMap(v =>
-      Precompute.localVertexAggs(gd, inc, v, 3, Precompute.DefaultThetaGrid))
-      .map(a => (a.id, a.r) -> ((a.bv, a.ubSup))).toMap
+    val local = (0 until gd.n).map(v => v -> Precompute.localVertexRef(gd, inc, v, 3, Precompute.DefaultThetaGrid).agg)
+      .flatMap { case (v, a) => (1 to 3).map(r => (v, r) -> ((a.bv(r - 1), a.ubSup(r - 1)))) }.toMap
     val dist = HopAgg.aggregate(spark, vertexState, gf.edges, 3).collect()
     assert(dist.length == gd.n * 3)
     dist.foreach { row =>

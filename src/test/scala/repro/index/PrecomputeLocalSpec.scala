@@ -22,10 +22,11 @@ class PrecomputeLocalSpec extends AnyFunSuite with MiniChecks {
       val inc = TestGraphs.localIncSup(g)
       (0 until n).foreach { v =>
         val dist = TestGraphs.refDist(g, v)
-        Precompute.localVertexAggs(g, inc, v, 3, grid).foreach { row =>
-          val expected = dist.collect { case (u, d) if d <= row.r => g.kwMask(u) }
+        val agg = Precompute.localVertexRef(g, inc, v, 3, grid).agg
+        (1 to 3).foreach { r =>
+          val expected = dist.collect { case (u, d) if d <= r => g.kwMask(u) }
             .foldLeft(0L)(_ | _)
-          assert(row.bv == expected, s"BV_r mismatch v=$v r=${row.r}")
+          assert(agg.bv(r - 1) == expected, s"BV_r mismatch v=$v r=$r")
         }
       }
     }
@@ -38,10 +39,11 @@ class PrecomputeLocalSpec extends AnyFunSuite with MiniChecks {
       val query = Array(0, 1)
       val qbv = KeywordBV.hashSet(query.toSeq)
       (0 until n).foreach { v =>
-        Precompute.localVertexAggs(g, inc, v, 2, grid).foreach { row =>
-          SeedExtract.extract(g, v, row.r, 3, query).foreach { _ =>
-            assert(KeywordBV.mayIntersect(row.bv, qbv),
-              s"BV pruning would kill a real community at v=$v r=${row.r}")
+        val agg = Precompute.localVertexRef(g, inc, v, 2, grid).agg
+        (1 to 2).foreach { r =>
+          SeedExtract.extract(g, v, r, 3, query).foreach { _ =>
+            assert(KeywordBV.mayIntersect(agg.bv(r - 1), qbv),
+              s"BV pruning would kill a real community at v=$v r=$r")
           }
         }
       }
@@ -53,14 +55,16 @@ class PrecomputeLocalSpec extends AnyFunSuite with MiniChecks {
       val g = TestGraphs.random(n, 0.4, seed = seed.toLong)
       val inc = TestGraphs.localIncSup(g)
       (0 until n).foreach { v =>
-        Precompute.localVertexAggs(g, inc, v, 2, grid).foreach { row =>
+        val agg = Precompute.localVertexRef(g, inc, v, 2, grid).agg
+        (1 to 2).foreach { r =>
           // any seed community within the ball: its edges' supports (in the
           // community!) are <= their supports in G <= ub_sup_r
-          SeedExtract.extract(g, v, row.r, 3, Array(0, 1, 2, 3, 4)).foreach { community =>
+          SeedExtract.extract(g, v, r, 3, Array(0, 1, 2, 3, 4)).foreach { community =>
             val members = community.vertices
             val local = members.zipWithIndex.toMap
-            val rows = Truss.Rows.of(members.length, community.edges.map { case (u, w) => (local(u), local(w)) })
-            Truss.supports(rows, rows.allAlive).foreach(s => assert(s <= row.ubSup))
+            val edges = TestGraphs.seedEdges(g, members, 3)
+            val rows = Truss.Rows.of(members.length, edges.map { case (u, w) => (local(u), local(w)) })
+            Truss.supports(rows, rows.allAlive).foreach(s => assert(s <= agg.ubSup(r - 1)))
           }
         }
       }
@@ -73,12 +77,13 @@ class PrecomputeLocalSpec extends AnyFunSuite with MiniChecks {
       val inc = TestGraphs.localIncSup(g)
       val query = Array(0, 1)
       (0 until n).foreach { v =>
-        Precompute.localVertexAggs(g, inc, v, 2, grid).foreach { row =>
-          SeedExtract.extract(g, v, row.r, 3, query).foreach { community =>
+        val agg = Precompute.localVertexRef(g, inc, v, 2, grid).agg
+        (1 to 2).foreach { r =>
+          SeedExtract.extract(g, v, r, 3, query).foreach { community =>
             grid.zipWithIndex.foreach { case (tz, z) =>
               val actual = MIA.sigma(g, community.vertices, tz)
-              assert(row.sigmas(z) >= actual,
-                s"σ bound violated: v=$v r=${row.r} θ_z=$tz bound=${row.sigmas(z)} actual=$actual")
+              assert(agg.sigmas(r - 1)(z) >= actual,
+                s"σ bound violated: v=$v r=$r θ_z=$tz bound=${agg.sigmas(r - 1)(z)} actual=$actual")
             }
           }
         }
@@ -92,10 +97,11 @@ class PrecomputeLocalSpec extends AnyFunSuite with MiniChecks {
       val inc = TestGraphs.localIncSup(g)
       (0 until n).foreach { v =>
         val dist = TestGraphs.refDist(g, v)
-        Precompute.localVertexAggs(g, inc, v, 2, grid).foreach { row =>
-          val ball = dist.collect { case (u, d) if d <= row.r => u }.toArray
+        val agg = Precompute.localVertexRef(g, inc, v, 2, grid).agg
+        (1 to 2).foreach { r =>
+          val ball = dist.collect { case (u, d) if d <= r => u }.toArray
           grid.zipWithIndex.foreach { case (tz, z) =>
-            assert(row.sigmas(z) == MIA.sigma(g, ball, tz))
+            assert(agg.sigmas(r - 1)(z) == MIA.sigma(g, ball, tz))
           }
         }
       }
@@ -107,8 +113,8 @@ class PrecomputeLocalSpec extends AnyFunSuite with MiniChecks {
       val g = TestGraphs.random(n, 0.3, seed = seed.toLong)
       val inc = TestGraphs.localIncSup(g)
       (0 until n).foreach { v =>
-        Precompute.localVertexAggs(g, inc, v, 3, grid).foreach { row =>
-          row.sigmas.sliding(2).foreach(p => if (p.length == 2) assert(p(0) >= p(1)))
+        Precompute.localVertexRef(g, inc, v, 3, grid).agg.sigmas.foreach { sigmas =>
+          sigmas.sliding(2).foreach(p => if (p.length == 2) assert(p(0) >= p(1)))
         }
       }
     }
@@ -119,13 +125,13 @@ class PrecomputeLocalSpec extends AnyFunSuite with MiniChecks {
       val g = TestGraphs.random(n, 0.3, seed = seed.toLong)
       val inc = TestGraphs.localIncSup(g)
       (0 until n).foreach { v =>
-        val rows = Precompute.localVertexAggs(g, inc, v, 3, grid).sortBy(_.r)
-        rows.sliding(2).foreach {
-          case Seq(a, b) =>
-            assert((a.bv | b.bv) == b.bv)
-            assert(b.ubSup >= a.ubSup)
-            a.sigmas.zip(b.sigmas).foreach { case (x, y) => assert(y >= x) }
-          case _ =>
+        val agg = Precompute.localVertexRef(g, inc, v, 3, grid).agg
+        assert(agg.rMax == 3)
+        (1 until 3).foreach { i =>
+          // radius i (index i − 1) against radius i + 1 (index i)
+          assert((agg.bv(i - 1) | agg.bv(i)) == agg.bv(i))
+          assert(agg.ubSup(i) >= agg.ubSup(i - 1))
+          agg.sigmas(i - 1).zip(agg.sigmas(i)).foreach { case (x, y) => assert(y >= x) }
         }
       }
     }

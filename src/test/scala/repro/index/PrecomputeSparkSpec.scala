@@ -45,14 +45,16 @@ class PrecomputeSparkSpec extends SparkSpec {
     val bcG = spark.sparkContext.broadcast(gd)
     val bcInc = spark.sparkContext.broadcast(inc)
     val dist = Precompute.run(spark, bcG, bcInc, 2, Precompute.DefaultThetaGrid)
-      .collect().map(a => (a.id, a.r) -> a).toMap
-    assert(dist.size == gd.n * 2)
+      .collect().map(a => a.id -> a.agg).toMap
+    assert(dist.size == gd.n)
     (0 until gd.n).foreach { v =>
-      Precompute.localVertexAggs(gd, inc, v, 2, Precompute.DefaultThetaGrid).foreach { want =>
-        val got = dist((want.id, want.r))
-        assert(got.bv == want.bv)
-        assert(got.ubSup == want.ubSup)
-        got.sigmas.zip(want.sigmas).foreach { case (a, b) => assert(math.abs(a - b) < 1e-9) }
+      val want = Precompute.localVertexRef(gd, inc, v, 2, Precompute.DefaultThetaGrid)
+      val got = dist(want.id)
+      assert(got.rMax == 2 && want.agg.rMax == 2)
+      (0 until 2).foreach { i =>
+        assert(got.bv(i) == want.agg.bv(i))
+        assert(got.ubSup(i) == want.agg.ubSup(i))
+        got.sigmas(i).zip(want.agg.sigmas(i)).foreach { case (a, b) => assert(math.abs(a - b) < 1e-9) }
       }
     }
   }
@@ -62,5 +64,16 @@ class PrecomputeSparkSpec extends SparkSpec {
     val idx = TreeIndex.build(rows)
     assert(TreeIndex.vertices(idx).size == gd.n)
     assert(idx.agg.rMax == 2)
+  }
+
+  test("run rejects an unsorted or empty θ grid and rMax < 1, naming the bad value") {
+    // an unsorted grid would expand σ at its head (0.2) and store it under
+    // the 0.1 column, an unsafe bound for a query at θ = 0.15
+    Seq(Array(0.2, 0.1), Array(0.1, 0.1), Array.empty[Double]).foreach { grid =>
+      val e = intercept[IllegalArgumentException](Precompute.offline(spark, gd, 2, grid))
+      assert(e.getMessage.contains("thetaGrid") && e.getMessage.contains(grid.mkString(", ")), e.getMessage)
+    }
+    val e = intercept[IllegalArgumentException](Precompute.offline(spark, gd, 0))
+    assert(e.getMessage.contains("rMax") && e.getMessage.contains("0"), e.getMessage)
   }
 }

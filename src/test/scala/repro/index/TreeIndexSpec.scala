@@ -2,17 +2,20 @@ package repro.index
 
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
-import repro.index.TreeIndex.{Inner, Leaf, Node}
+import repro.index.TreeIndex.{Agg, Inner, Leaf, Node, VertexRef}
 import repro.{MiniChecks, TestGraphs}
+
+import scala.concurrent.duration._
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.util.{Failure, Try}
 
 /** Tree-index construction invariants (paper §V-B). */
 class TreeIndexSpec extends AnyFunSuite with MiniChecks {
 
-  private def rowsFor(n: Int, seed: Long, rMax: Int = 2): Array[Precompute.VertexAgg] = {
+  private def rowsFor(n: Int, seed: Long, rMax: Int = 2): Array[VertexRef] = {
     val g = TestGraphs.random(n, 0.3, seed = seed)
     val inc = TestGraphs.localIncSup(g)
-    (0 until g.n).flatMap(v =>
-      Precompute.localVertexAggs(g, inc, v, rMax, Precompute.DefaultThetaGrid)).toArray
+    Array.tabulate(g.n)(Precompute.localVertexRef(g, inc, _, rMax, Precompute.DefaultThetaGrid))
   }
 
   private def checkAggs(node: Node): Unit = node match {
@@ -70,8 +73,24 @@ class TreeIndexSpec extends AnyFunSuite with MiniChecks {
   test("build rejects vertices with missing radii") {
     val rows = rowsFor(10, 13L)
     intercept[IllegalArgumentException] {
-      TreeIndex.build(rows.filterNot(r => r.id == 3 && r.r == 2))
+      TreeIndex.build(rows.map {
+        case VertexRef(3, a) => VertexRef(3, Agg(a.bv.take(1), a.ubSup.take(1), a.sigmas.take(1)))
+        case v => v
+      })
     }
+  }
+
+  test("build rejects fanout < 2 by name, and terminates") {
+    val rows = rowsFor(10, 17L)
+    Seq(1, 0, -1).foreach { fanout =>
+      // bounded: a fanout-1 build that regroups forever fails the wait
+      val built = Future(Try(TreeIndex.build(rows, fanout)))(ExecutionContext.global)
+      Await.result(built, 10.seconds) match {
+        case Failure(e: IllegalArgumentException) => assert(e.getMessage.contains("fanout"), e.getMessage)
+        case other => fail(s"fanout $fanout: $other")
+      }
+    }
+    assert(TreeIndex.vertices(TreeIndex.build(rows, fanout = 2)).size == 10)
   }
 
   test("property: index over random graphs keeps all per-radius bounds consistent") {

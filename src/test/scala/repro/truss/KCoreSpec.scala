@@ -71,8 +71,8 @@ class KCoreSpec extends AnyFunSuite with MiniChecks {
     val k4a = for { u <- 0 until 4; v <- (u + 1) until 4 } yield (u, v)
     val k4b = for { u <- 4 until 8; v <- (u + 1) until 8 } yield (u, v)
     val rows = TestGraphs.rowsOf(repro.graph.SocialGraph.fromEdges(9, k4a ++ k4b ++ Seq((0, 8), (8, 4))))
-    assert(KCore.kCoreCommunity(rows, 1, 3) == Set(0, 1, 2, 3))
-    assert(KCore.kCoreCommunity(rows, 5, 3) == Set(4, 5, 6, 7))
+    assert(KCore.kCoreCommunity(rows, 1, 3).toSeq == Seq(0, 1, 2, 3))
+    assert(KCore.kCoreCommunity(rows, 5, 3).toSeq == Seq(4, 5, 6, 7))
   }
 
   test("kCoreCommunity empty when center peeled") {
