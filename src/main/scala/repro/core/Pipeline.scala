@@ -20,13 +20,14 @@ object Pipeline {
       offlineMillis: Long) {
 
     /** Answer one TopL-ICDE query (Alg. 3). */
-    def topL(q: Query, cfg: PruningConfig = PruningConfig()): TopLResult =
-      TopLICDE.run(g, index, thetaGrid, q, cfg)
+    def topL(q: Query, pruning: Pruning = Pruning.Certificate): TopLResult =
+      TopLICDE.run(g, index, thetaGrid, q, pruning)
 
     /** Answer one DTopL-ICDE query (Alg. 4): top-(nL) via Alg. 3, then
       * lazy-greedy selection.
       */
     def dTopL(q: Query, n: Int): DTopL.DResult = {
+      require(n >= 1, s"n = $n, must be >= 1")
       val cands = topL(q.copy(L = n * q.L)).communities.toIndexedSeq
       DTopL.greedyWP(cands, q.L)
     }

@@ -15,8 +15,10 @@ final case class Query(
     r: Int,
     theta: Double,
     L: Int) {
-  require(theta >= 0.0 && theta < 1.0, "θ ∈ [0,1)")
-  require(L >= 1 && r >= 1 && k >= 2)
+  require(theta >= 0.0 && theta < 1.0, s"θ = $theta outside [0, 1)")
+  require(k >= 2, s"k = $k, must be >= 2")
+  require(r >= 1, s"r = $r, must be >= 1")
+  require(L >= 1, s"L = $L, must be >= 1")
   val queryBv: Long = KeywordBV.hashSet(keywords.toSeq)
 }
 
@@ -67,17 +69,23 @@ object Community {
   }
 }
 
-/** Which pruning strategies are active — the ablation knob of Fig. 4.
-  * `keyword`, `support` and `score` are the paper's three strategies
-  * (Lemmas 1/5, 2/6, 4/7); `certificate` is the trussness certificate of
-  * [[TopLICDE.certified]], which the paper does not have: the paper's
-  * Fig. 4 rows and Fig. 2's "no certificate" column turn it off.
+/** Alg. 3's pruning: one rung of the Fig. 4 ladder, which runs the rung
+  * below's strategies plus one. Keyword, support and score pruning are the
+  * paper's (Lemmas 1/5, 2/6, 4/7), so `Score` is the paper's Alg. 3;
+  * `Certificate` adds [[TopLICDE.certified]], which the paper does not
+  * have. `label` names the rung's Fig. 4 row.
   */
-final case class PruningConfig(
-    keyword: Boolean = true,
-    support: Boolean = true,
-    score: Boolean = true,
-    certificate: Boolean = true)
+sealed abstract class Pruning(private val rank: Int, val label: String) extends Ordered[Pruning] {
+  def compare(that: Pruning): Int = Integer.compare(rank, that.rank)
+}
+
+object Pruning {
+  case object Keyword extends Pruning(0, "keyword")
+  case object Support extends Pruning(1, "keyword+support")
+  case object Score extends Pruning(2, "keyword+support+score")
+  case object Certificate extends Pruning(3, "keyword+support+score+certificate")
+  val ladder: Seq[Pruning] = Seq(Keyword, Support, Score, Certificate) // bottom up
+}
 
 /** Counters reported by the ablation study (Fig. 4). Every r-hop
   * candidate (vertex of G) is counted once, either under a pruning
@@ -119,15 +127,7 @@ object TopLICDE {
     * level is disabled). The test is exact: a θ_z even one ulp above θ
     * leaves out the vertices with cpp in [θ, θ_z), so its σ_z is no bound.
     */
-  def thetaZIndex(thetaGrid: Array[Double], theta: Double): Int = {
-    var z = -1
-    var i = 0
-    while (i < thetaGrid.length) {
-      if (thetaGrid(i) <= theta) z = i
-      i += 1
-    }
-    z
-  }
+  def thetaZIndex(thetaGrid: Array[Double], theta: Double): Int = thetaGrid.lastIndexWhere(_ <= theta)
 
   /** The trussness certificate of center v (DESIGN "Trussness
     * certificate"): for k ≥ 3, v has at least k−1 neighbours u that match Q
@@ -153,16 +153,18 @@ object TopLICDE {
   }
 
   /** Answer `q`: the top L communities under [[Community.Ranking]], each
-    * reporting the first center that refined it. Score pruning and heap
-    * termination cut only bounds strictly below σ_L: a bound equal to σ_L
-    * can still hide a tied community with a smaller vertex array.
+    * reporting the first center that refined it. `pruning` picks the rung
+    * of the ladder; every rung returns the same answers, and the default is
+    * the top one. Score pruning and heap termination cut only bounds
+    * strictly below σ_L: a bound equal to σ_L can still hide a tied
+    * community with a smaller vertex array.
     */
   def run(
       g: GraphData,
       index: Node,
       thetaGrid: Array[Double],
       q: Query,
-      cfg: PruningConfig = PruningConfig()): TopLResult = {
+      pruning: Pruning = Pruning.Certificate): TopLResult = {
     val stats = new PruneStats
     val ri = q.r - 1
     require(q.r <= index.agg.rMax, s"index built for r_max=${index.agg.rMax}, query r=${q.r}")
@@ -179,13 +181,13 @@ object TopLICDE {
     // entry level, 1 at vertex level) so the ablation counters are in
     // candidate units.
     def pruned(agg: TreeIndex.Agg, vertexLevel: Boolean, weight: Long): Boolean = {
-      if (cfg.keyword && !KeywordBV.mayIntersect(agg.bv(ri), q.queryBv)) {
+      if (!KeywordBV.mayIntersect(agg.bv(ri), q.queryBv)) {
         if (vertexLevel) stats.vertexKeywordPruned += weight else stats.entriesKeywordPruned += weight
         true
-      } else if (cfg.support && agg.ubSup(ri) < q.k - 2) {
+      } else if (pruning >= Pruning.Support && agg.ubSup(ri) < q.k - 2) {
         if (vertexLevel) stats.vertexSupportPruned += weight else stats.entriesSupportPruned += weight
         true
-      } else if (cfg.score && ubSigma(agg) < best.sigmaL) {
+      } else if (pruning >= Pruning.Score && ubSigma(agg) < best.sigmaL) {
         if (vertexLevel) stats.vertexScorePruned += weight else stats.entriesScorePruned += weight
         true
       } else false
@@ -208,7 +210,7 @@ object TopLICDE {
     var terminated = false
     while (heap.nonEmpty && !terminated) {
       val (key, node) = heap.dequeue()
-      if (cfg.score && key < best.sigmaL) {
+      if (pruning >= Pruning.Score && key < best.sigmaL) {
         // every remaining entry's bound is < σ_L: stop (Alg. 3 lines 7–8);
         // count every candidate under the cut-off heap entries
         stats.heapTerminated += node.size.toLong + heap.iterator.map(_._2.size.toLong).sum
@@ -219,11 +221,11 @@ object TopLICDE {
             // Lemma 1 on the center itself: every seed community centered
             // at v contains v, so a keyword-less center prunes the whole
             // r-hop candidate before any ball/ball-BV work.
-            if (cfg.keyword && !KeywordBV.mayIntersect(g.kwMask(v.id), q.queryBv))
+            if (!KeywordBV.mayIntersect(g.kwMask(v.id), q.queryBv))
               stats.vertexKeywordPruned += 1
             else if (!pruned(v.agg, vertexLevel = true, weight = 1)) {
               // last, as it scans v's row: the O(1) tests above go first
-              if (cfg.certificate && !certified(g, v.id, q)) stats.vertexTrussPruned += 1
+              if (pruning == Pruning.Certificate && !certified(g, v.id, q)) stats.vertexTrussPruned += 1
               else refine(v)
             }
           }

@@ -33,6 +33,19 @@ object Experiments {
   val RMax = 3
   val ThetaGrid: Array[Double] = repro.index.Precompute.DefaultThetaGrid
 
+  /** Table III's value lists, each holding its default above (θ's list is
+    * [[ThetaGrid]]); `Ns` is Fig. 6(c)'s list of DTopL's n.
+    */
+  object TableIII {
+    val QSizes: Seq[Int] = Seq(2, 3, 5, 8, 10)
+    val Ks: Seq[Int] = Seq(3, 4, 5)
+    val Rs: Seq[Int] = Seq(1, 2, 3)
+    val Ls: Seq[Int] = Seq(2, 3, 5, 8, 10)
+    val Ws: Seq[Int] = Seq(1, 2, 3, 4, 5)
+    val SigmaDomains: Seq[Int] = Seq(10, 20, 50, 80)
+    val Ns: Seq[Int] = Seq(2, 3, 5, 8, 10)
+  }
+
   // reduced scales (paper values in comments)
   val DefaultN = 10000L   // paper 50K
   val LikeN = 20000L      // paper: DBLP 317K, Amazon 335K
@@ -99,8 +112,9 @@ object Experiments {
 
   // ---- Fig. 2: TopL-ICDE vs ATindex ---------------------------------------
   /** `topLMs` runs Alg. 3 with the trussness certificate, `topLNoCertMs`
-    * without it. `speedup` compares ATindex with the latter, the paper's
-    * algorithm; ATindex keeps the paper's vertex filter τ(v) ≥ k.
+    * without it ([[Pruning.Score]]). `speedup` compares ATindex with the
+    * latter, the paper's algorithm; ATindex keeps the paper's vertex filter
+    * τ(v) ≥ k.
     */
   final case class Fig2Row(
       graph: String,
@@ -117,7 +131,7 @@ object Experiments {
       val built = buildCached(spark, c.name, c.gf)
       val q = query()
       val (_, topLMs) = medianMs(5)(built.topL(q))
-      val (_, noCertMs) = medianMs(5)(built.topL(q, PruningConfig(certificate = false)))
+      val (_, noCertMs) = medianMs(5)(built.topL(q, Pruning.Score))
       val (off, atOffMs) = timeMs(ATindex.offline(built.g))
       val ((_, refined), atMs) = medianMs(3)(ATindex.query(built.g, off, q))
       Fig2Row(c.name, topLMs, noCertMs, atOffMs, atMs, refined, atMs / math.max(noCertMs, 1e-9))
@@ -128,38 +142,31 @@ object Experiments {
   final case class SweepRow(graph: String, param: String, value: String, ms: Double, answers: Int)
 
   /** Sweeps that reuse one build per graph: θ, |Q|, k, r, L. */
-  def fig3Fixed(spark: SparkSession): Seq[SweepRow] = {
-    val rows = mutable.ArrayBuffer[SweepRow]()
-    synthetic(spark, DefaultN).foreach { c =>
+  def fig3Fixed(spark: SparkSession): Seq[SweepRow] =
+    synthetic(spark, DefaultN).flatMap { c =>
       val built = buildCached(spark, c.name, c.gf)
       built.topL(query()) // warm up
-      def run(param: String, value: String, q: Query): Unit = {
+      def run(param: String, value: Any, q: Query): SweepRow = {
         val (res, ms) = timeMs(built.topL(q))
-        rows += SweepRow(c.name, param, value, ms, res.communities.size)
+        SweepRow(c.name, param, value.toString, ms, res.communities.size)
       }
-      ThetaGrid.foreach(t => run("theta", t.toString, query(theta = t)))
-      Seq(2, 3, 5, 8, 10).foreach(s => run("|Q|", s.toString, query(qSize = s)))
-      Seq(3, 4, 5).foreach(k => run("k", k.toString, query(k = k)))
-      Seq(1, 2, 3).foreach(r => run("r", r.toString, query(r = r)))
-      Seq(2, 3, 5, 8, 10).foreach(l => run("L", l.toString, query(l = l)))
+      ThetaGrid.toSeq.map(t => run("theta", t, query(theta = t))) ++
+        TableIII.QSizes.map(s => run("|Q|", s, query(qSize = s))) ++
+        TableIII.Ks.map(k => run("k", k, query(k = k))) ++
+        TableIII.Rs.map(r => run("r", r, query(r = r))) ++
+        TableIII.Ls.map(l => run("L", l, query(l = l)))
     }
-    rows.toSeq
-  }
 
   /** Sweeps that regenerate the graph: |v.W| (Fig. 3f) and |Σ| (Fig. 3g). */
   def fig3Regen(spark: SparkSession): Seq[SweepRow] = {
-    val rows = mutable.ArrayBuffer[SweepRow]()
-    for (w <- Seq(1, 2, 3, 4, 5); c <- synthetic(spark, SweepN, kwPerVertex = w)) {
-      val built = buildCached(spark, s"${c.name}-n$SweepN-w$w", c.gf)
-      val (res, ms) = timeMs(built.topL(query()))
-      rows += SweepRow(c.name, "|v.W|", w.toString, ms, res.communities.size)
+    def run(param: String, key: String, value: Int, c: GraphCase, q: Query): SweepRow = {
+      val built = buildCached(spark, s"${c.name}-n$SweepN-$key$value", c.gf)
+      val (res, ms) = timeMs(built.topL(q))
+      SweepRow(c.name, param, value.toString, ms, res.communities.size)
     }
-    for (s <- Seq(10, 20, 50, 80); c <- synthetic(spark, SweepN, sigma = s)) {
-      val built = buildCached(spark, s"${c.name}-n$SweepN-s$s", c.gf)
-      val (res, ms) = timeMs(built.topL(query(sigma = s)))
-      rows += SweepRow(c.name, "|Sigma|", s.toString, ms, res.communities.size)
-    }
-    rows.toSeq
+    TableIII.Ws.flatMap(w => synthetic(spark, SweepN, kwPerVertex = w).map(run("|v.W|", "w", w, _, query()))) ++
+      TableIII.SigmaDomains.flatMap(s =>
+        synthetic(spark, SweepN, sigma = s).map(run("|Sigma|", "s", s, _, query(sigma = s))))
   }
 
   // ---- Fig. 3(h): scalability in |V| --------------------------------------
@@ -177,8 +184,8 @@ object Experiments {
     }
 
   // ---- Fig. 4: pruning ablation -------------------------------------------
-  /** One configuration on one graph; `answers` are the sorted vertex
-    * arrays of the top L, in answer order.
+  /** One rung of [[Pruning.ladder]] on one graph, `config` its label;
+    * `answers` are the sorted vertex arrays of the top L, in answer order.
     */
   final case class AblationRow(
       graph: String,
@@ -188,23 +195,18 @@ object Experiments {
       ms: Double,
       answers: Seq[Seq[Int]])
 
-  /** The paper's three rows, with the trussness certificate off, and a
-    * fourth that adds it.
+  /** The rungs of the pruning ladder in order: the paper's three rows,
+    * then the trussness certificate on top.
     */
   def fig4(spark: SparkSession): Seq[AblationRow] = {
-    val configs = Seq(
-      "keyword" -> PruningConfig(support = false, score = false, certificate = false),
-      "keyword+support" -> PruningConfig(score = false, certificate = false),
-      "keyword+support+score" -> PruningConfig(certificate = false),
-      "keyword+support+score+certificate" -> PruningConfig())
     val cases = synthetic(spark, DefaultN) ++ likeGraphs(spark)
     for {
       c <- cases
       built = buildCached(spark, c.name, c.gf)
-      (label, cfg) <- configs
+      pruning <- Pruning.ladder
     } yield {
-      val (res, ms) = timeMs(built.topL(query(), cfg))
-      AblationRow(c.name, label, res.stats.totalPruned, res.stats.refined, ms,
+      val (res, ms) = timeMs(built.topL(query(), pruning))
+      AblationRow(c.name, pruning.label, res.stats.totalPruned, res.stats.refined, ms,
         res.communities.map(_.vertices.toSeq))
     }
   }
@@ -270,27 +272,18 @@ object Experiments {
   /** Fig. 6(b)/(c): L and n sweeps (greedy selectors only, like the paper's
     * timing curves).
     */
-  def fig6bc(spark: SparkSession): Seq[Fig6Row] = {
-    val rows = mutable.ArrayBuffer[Fig6Row]()
-    synthetic(spark, DefaultN).foreach { c =>
+  def fig6bc(spark: SparkSession): Seq[Fig6Row] =
+    synthetic(spark, DefaultN).flatMap { c =>
       val built = buildCached(spark, c.name, c.gf)
-      Seq(2, 3, 5, 8, 10).foreach { l =>
-        val q = query(l = l)
-        val cands = candidatesFor(built, q, DefaultNDiv)
-        val (wp, wpMs) = timeMs(DTopL.greedyWP(cands, l))
-        val (_, wopMs) = timeMs(DTopL.greedyWoP(cands, l))
-        rows += Fig6Row(c.name, "L", l.toString, wpMs, wopMs, 0.0, wp.score, 0.0)
-      }
-      Seq(2, 3, 5, 8, 10).foreach { nd =>
-        val q = query()
-        val cands = candidatesFor(built, q, nd)
+      def greedy(param: String, value: Int, q: Query, nDiv: Int): Fig6Row = {
+        val cands = candidatesFor(built, q, nDiv)
         val (wp, wpMs) = timeMs(DTopL.greedyWP(cands, q.L))
         val (_, wopMs) = timeMs(DTopL.greedyWoP(cands, q.L))
-        rows += Fig6Row(c.name, "n", nd.toString, wpMs, wopMs, 0.0, wp.score, 0.0)
+        Fig6Row(c.name, param, value.toString, wpMs, wopMs, 0.0, wp.score, 0.0)
       }
+      TableIII.Ls.map(l => greedy("L", l, query(l = l), DefaultNDiv)) ++
+        TableIII.Ns.map(nd => greedy("n", nd, query(), nd))
     }
-    rows.toSeq
-  }
 
   /** Fig. 6(d): DTopL scalability in |V| (reuses the Fig. 3h builds). */
   def fig6d(spark: SparkSession, sizes: Seq[Long] = ScaleSweep): Seq[Fig6Row] =

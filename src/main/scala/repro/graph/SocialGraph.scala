@@ -127,11 +127,14 @@ object SocialGraph {
     val kwMask = new Array[Long](n)
     vRows.foreach { r =>
       val id = r.getLong(0)
-      val ks = r.getSeq[Int](1).toArray.sorted
       require(id >= 0 && id < n, s"vertex row $id: ids must be dense 0..n-1, n = $n")
       require(keywords(id.toInt) == null, s"repeated vertex row $id")
-      keywords(id.toInt) = ks
-      kwMask(id.toInt) = KeywordBV.hashSet(ks)
+      // boxed, so a null keyword is not unboxed to keyword 0
+      val boxed = r.getSeq[Integer](1)
+      require(boxed != null, s"vertex row $id has a null keyword array")
+      require(!boxed.contains(null), s"vertex row $id has a null keyword")
+      keywords(id.toInt) = boxed.map(_.intValue).toArray.sorted
+      kwMask(id.toInt) = KeywordBV.hashSet(keywords(id.toInt))
     }
     val eRows: Array[Row] = gf.edges.select("src", "dst", "weight").collect()
     eRows.foreach { r =>

@@ -71,6 +71,18 @@ class EdgeCasesSpec extends AnyFunSuite {
     assert(TopLICDE.run(g, idx, grid, Query(Array(0), 3, 1, 0.2, 1)).communities.isEmpty)
   }
 
+  test("bad query parameters are rejected by name and value") {
+    def message(f: => Any): String = intercept[IllegalArgumentException](f).getMessage
+    assert(message(Query(Array(0), 1, 1, 0.2, 1)).contains("k = 1"))
+    assert(message(Query(Array(0), 3, 0, 0.2, 1)).contains("r = 0"))
+    assert(message(Query(Array(0), 3, 1, 0.2, 0)).contains("L = 0"))
+    assert(message(Query(Array(0), 3, 1, 1.0, 1)).contains("θ = 1.0"))
+    val g = SocialGraph.fromEdges(1, Nil)
+    val idx = TreeIndex.build(Array(Precompute.localVertexRef(g, Array(0), 0, 1, grid)))
+    val built = Pipeline.Built(g, idx, grid, 1, 0L)
+    assert(message(built.dTopL(Query(Array(0), 3, 1, 0.2, 1), 0)).contains("n = 0"))
+  }
+
   test("DTopL selectors with L = 0 return empty") {
     val c = Community(0, Array(0), 1.0, MIA.Cpp(Array(0), Array(1.0)))
     assert(DTopL.greedyWP(IndexedSeq(c), 0).selected.isEmpty)

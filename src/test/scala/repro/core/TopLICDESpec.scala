@@ -10,7 +10,7 @@ import scala.util.Random
 
 /** End-to-end correctness of the pruned, index-driven Algorithm 3: it must
   * return exactly the brute-force ground truth (all pruning lemmas are
-  * safe) for every pruning configuration, graph, and parameter setting.
+  * safe) on every rung of the pruning ladder, graph, and parameter setting.
   */
 class TopLICDESpec extends AnyFunSuite with MiniChecks {
 
@@ -97,21 +97,14 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
     }
   }
 
-  test("property: every pruning subset returns identical answers (ablation safety)") {
-    val configs = Seq(
-      PruningConfig(false, false, false),
-      PruningConfig(true, false, false),
-      PruningConfig(true, true, false),
-      PruningConfig(true, true, true),
-      PruningConfig(false, false, true),
-      PruningConfig(false, true, false))
+  test("property: every rung of the pruning ladder returns refTopL's answers (ablation safety)") {
     forAllN2(Gen.chooseNum(8, 30), Gen.chooseNum(1, 40), n = 40) { (n, seed) =>
       val g = TestGraphs.random(n, 0.3, sigma = 5, seed = seed.toLong)
       val idx = TestGraphs.localIndex(g, 2)
       val q = Query(Array(0, 1), 3, 2, 0.2, 3)
       val want = TestGraphs.refTopL(g, q)
-      configs.foreach { cfg =>
-        TestGraphs.assertSameAnswers(answers(TopLICDE.run(g, idx, grid, q, cfg)), want, cfg.toString)
+      Pruning.ladder.foreach { p =>
+        TestGraphs.assertSameAnswers(answers(TopLICDE.run(g, idx, grid, q, p)), want, p.label)
       }
     }
   }
@@ -168,10 +161,9 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
       val g = TestGraphs.random(n, 0.3, sigma = 5, seed = seed.toLong)
       val idx = TestGraphs.localIndex(g, 2)
       val q = Query(Array(0, 1), 3, 2, 0.2, 2)
-      val none = TopLICDE.run(g, idx, grid, q, PruningConfig(false, false, false, certificate = false))
-      val all = TopLICDE.run(g, idx, grid, q, PruningConfig(true, true, true))
-      assert(all.stats.refined <= none.stats.refined)
-      assert(none.stats.totalPruned == 0)
+      val stats = Pruning.ladder.map(TopLICDE.run(g, idx, grid, q, _).stats)
+      stats.foreach(s => assert(s.totalPruned + s.refined == g.n))
+      stats.sliding(2).foreach { case Seq(lower, upper) => assert(upper.refined <= lower.refined) }
     }
   }
 
@@ -179,9 +171,9 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
     val g = TestGraphs.random(60, 0.2, sigma = 3, kwPerVertex = 2, seed = 21L)
     val idx = TestGraphs.localIndex(g, 2)
     val q = Query(Array(0, 1, 2), 3, 2, 0.2, 1)
-    val res = TopLICDE.run(g, idx, grid, q)
+    val res = TopLICDE.run(g, idx, grid, q, Pruning.Score)
     // with L = 1 and θ on the grid, the σ_z bound is tight enough to cut work
-    val noScore = TopLICDE.run(g, idx, grid, q, PruningConfig(true, true, false))
+    val noScore = TopLICDE.run(g, idx, grid, q, Pruning.Support)
     assert(res.stats.refined <= noScore.stats.refined)
   }
 
@@ -228,8 +220,6 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
   }
 
   test("property: the certificate changes only refined and noCommunity, by vertexTrussPruned") {
-    val configs = for { kw <- Seq(false, true); sup <- Seq(false, true); sc <- Seq(false, true) }
-      yield PruningConfig(kw, sup, sc)
     def others(s: PruneStats): Seq[Long] = Seq(s.entriesKeywordPruned, s.entriesSupportPruned,
       s.entriesScorePruned, s.vertexKeywordPruned, s.vertexSupportPruned, s.vertexScorePruned,
       s.heapTerminated, s.duplicates)
@@ -243,7 +233,7 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
       Gen.oneOf(grid.toSeq :+ 0.25),
       Gen.chooseNum(1, 4))         // L
     var skipped = 0L
-    forAllN(gen, n = 40) { case (seed, tied, k, r, theta, l) =>
+    forAllN(gen, n = 120) { case (seed, tied, k, r, theta, l) =>
       val rnd = new Random(seed.toLong)
       val g =
         if (tied) {
@@ -252,18 +242,16 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
         } else TestGraphs.random(8 + rnd.nextInt(25), 0.3, sigma = 5, seed = seed.toLong)
       val idx = TestGraphs.localIndex(g, 2, fanout = 2 + rnd.nextInt(4))
       val q = Query(Array(0, 1), k, r, theta, l)
-      configs.foreach { cfg =>
-        val on = TopLICDE.run(g, idx, grid, q, cfg)
-        val off = TopLICDE.run(g, idx, grid, q, cfg.copy(certificate = false))
-        Seq(on, off).foreach(res => assert(res.stats.totalPruned + res.stats.refined == g.n, cfg.toString))
-        assert(reported(on) == reported(off), cfg.toString)
-        assert(others(on.stats) == others(off.stats), cfg.toString)
-        val cut = on.stats.vertexTrussPruned
-        assert(off.stats.vertexTrussPruned == 0)
-        assert(off.stats.refined - on.stats.refined == cut, cfg.toString)
-        assert(off.stats.noCommunity - on.stats.noCommunity == cut, cfg.toString)
-        skipped += cut
-      }
+      val on = TopLICDE.run(g, idx, grid, q, Pruning.Certificate)
+      val off = TopLICDE.run(g, idx, grid, q, Pruning.Score)
+      Seq(on, off).foreach(res => assert(res.stats.totalPruned + res.stats.refined == g.n))
+      assert(reported(on) == reported(off))
+      assert(others(on.stats) == others(off.stats))
+      val cut = on.stats.vertexTrussPruned
+      assert(off.stats.vertexTrussPruned == 0)
+      assert(off.stats.refined - on.stats.refined == cut)
+      assert(off.stats.noCommunity - on.stats.noCommunity == cut)
+      skipped += cut
     }
     assert(skipped > 0, "the certificate never fired")
   }

@@ -42,6 +42,15 @@ class ExperimentsSpec extends AnyFunSuite {
     assert(Experiments.DefaultSigmaDomain == 20)
     assert(Experiments.DefaultNDiv == 5)
     assert(Experiments.ThetaGrid.toSeq == Seq(0.1, 0.2, 0.3))
+    import Experiments.TableIII._
+    assert(Experiments.ThetaGrid.contains(Experiments.DefaultTheta))
+    assert(QSizes.contains(Experiments.DefaultQSize))
+    assert(Ks.contains(Experiments.DefaultK))
+    assert(Rs.contains(Experiments.DefaultR))
+    assert(Ls.contains(Experiments.DefaultL))
+    assert(Ws.contains(Experiments.DefaultW))
+    assert(SigmaDomains.contains(Experiments.DefaultSigmaDomain))
+    assert(Ns.contains(Experiments.DefaultNDiv))
   }
 
   test("Tables.render aligns columns and includes every row") {

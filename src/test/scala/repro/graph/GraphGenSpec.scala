@@ -146,17 +146,22 @@ class GraphGenSpec extends SparkSpec {
     }
   }
 
-  /** toGraphData of the vertex ids `ids`, each with keyword {0}, and the
-    * given (src, dst, weight) rows; the error message if it rejects them.
+  /** toGraphData of the vertex rows (id, keywords), None standing for a
+    * null, and the given (src, dst, weight) rows; the error message if it
+    * rejects them.
     */
-  private def ingest(ids: Seq[Long], rows: (Long, Long, Double)*): Either[String, GraphData] = {
+  private def ingestRows(
+      vertices: Seq[(Long, Option[Seq[Option[Int]]])],
+      rows: (Long, Long, Double)*): Either[String, GraphData] = {
     import spark.implicits._
-    val gf = SocialGraph.GraphFrames(
-      ids.map(id => (id, Seq(0))).toDF("id", "keywords"),
-      rows.toDF("src", "dst", "weight"))
+    val gf = SocialGraph.GraphFrames(vertices.toDF("id", "keywords"), rows.toDF("src", "dst", "weight"))
     try Right(SocialGraph.toGraphData(gf))
     catch { case e: IllegalArgumentException => Left(e.getMessage) }
   }
+
+  /** [[ingestRows]] of the vertex ids `ids`, each with keyword {0}. */
+  private def ingest(ids: Seq[Long], rows: (Long, Long, Double)*): Either[String, GraphData] =
+    ingestRows(ids.map(id => (id, Some(Seq(Some(0))))), rows: _*)
 
   private def ingest(rows: (Long, Long, Double)*): Either[String, GraphData] = ingest(Seq(0L, 1L, 2L), rows: _*)
 
@@ -195,5 +200,15 @@ class GraphGenSpec extends SparkSpec {
   test("toGraphData rejects a repeated vertex id, naming the row") {
     val err = ingest(Seq(0L, 1L, 1L), pair: _*)
     assert(err.left.exists(m => m.contains("repeated vertex row 1")), err)
+  }
+
+  test("toGraphData rejects a null keyword, naming the vertex row") {
+    val err = ingestRows(Seq((0L, Some(Seq(None, Some(3)))), (1L, Some(Seq(Some(0))))), pair: _*)
+    assert(err.left.exists(m => m.contains("vertex row 0") && m.contains("null keyword")), err)
+  }
+
+  test("toGraphData rejects a null keyword array, naming the vertex row") {
+    val err = ingestRows(Seq((0L, Some(Seq(Some(0)))), (1L, None)), pair: _*)
+    assert(err.left.exists(m => m.contains("vertex row 1") && m.contains("null keyword array")), err)
   }
 }
