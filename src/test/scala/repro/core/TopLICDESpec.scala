@@ -97,7 +97,7 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
     }
   }
 
-  test("property: every rung of the pruning ladder returns refTopL's answers (ablation safety)") {
+  test("property: every pruning subset returns identical answers (ablation safety)") {
     forAllN2(Gen.chooseNum(8, 30), Gen.chooseNum(1, 40), n = 40) { (n, seed) =>
       val g = TestGraphs.random(n, 0.3, sigma = 5, seed = seed.toLong)
       val idx = TestGraphs.localIndex(g, 2)
