@@ -7,7 +7,7 @@ import repro.exp.{Experiments, Tables}
 /** Fig. 4 — pruning ablation: candidates pruned and wall clock on each
   * rung of the pruning ladder: keyword-only, keyword+support,
   * keyword+support+score (the paper's rows), and the three plus the
-  * trussness certificate.
+  * keyword-truss (K_Q) gate.
   *
   * Paper: each added strategy prunes about an order of magnitude more
   * candidates; the full stack yields the lowest time, with influential-
@@ -31,9 +31,9 @@ class Fig4AblationBench extends SparkSpec {
         assert(at(upper).pruned >= at(lower).pruned, s"$g: ${upper.label} lost candidates")
         assert(at(upper).refined <= at(lower).refined, s"$g: ${upper.label} refined more")
       }
-      // the certificate only skips centers without a community
-      assert(at(Pruning.Certificate).answers == at(Pruning.Score).answers,
-        s"$g: the certificate changed the answers")
+      // the K_Q gate only skips centers without a community
+      assert(at(Pruning.KeywordTruss).answers == at(Pruning.Score).answers,
+        s"$g: the K_Q gate changed the answers")
     }
     // score pruning is the big contributor on at least some graphs (the
     // paper's key observation; keyword-saturated graphs can be flat)

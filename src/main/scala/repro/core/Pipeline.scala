@@ -20,7 +20,7 @@ object Pipeline {
       offlineMillis: Long) {
 
     /** Answer one TopL-ICDE query (Alg. 3). */
-    def topL(q: Query, pruning: Pruning = Pruning.Certificate): TopLResult =
+    def topL(q: Query, pruning: Pruning = Pruning.KeywordTruss): TopLResult =
       TopLICDE.run(g, index, thetaGrid, q, pruning)
 
     /** Answer one DTopL-ICDE query (Alg. 4): top-(nL) via Alg. 3, then
@@ -28,16 +28,17 @@ object Pipeline {
       */
     def dTopL(q: Query, n: Int): DTopL.DResult = {
       require(n >= 1, s"n = $n, must be >= 1")
+      require(n.toLong * q.L <= Int.MaxValue, s"n = $n times L = ${q.L} does not fit an Int")
       val cands = topL(q.copy(L = n * q.L)).communities.toIndexedSeq
       DTopL.greedyWP(cands, q.L)
     }
   }
 
   /** Run the offline phase: collect the CSR graph (the one read of the
-    * edges), its edge trussness (`GraphData.edgeTruss`, which Alg. 3's
-    * trussness certificate reads), local edge supports over its rows +
-    * partition-parallel per-vertex aggregates, then index construction.
-    * `offlineMillis` covers all of it.
+    * edges), local edge supports over its rows + partition-parallel
+    * per-vertex aggregates, then index construction. `offlineMillis` covers
+    * all of it. No truss decomposition: Alg. 3 peels its keyword truss per
+    * query.
     */
   def build(
       spark: SparkSession,
@@ -46,7 +47,6 @@ object Pipeline {
       thetaGrid: Array[Double] = Precompute.DefaultThetaGrid): Built = {
     val t0 = System.nanoTime()
     val g = SocialGraph.toGraphData(gf)
-    g.edgeTruss // computed once here, so the first query does not pay for it
     val index = TreeIndex.build(Precompute.offline(spark, g, rMax, thetaGrid))
     Built(g, index, thetaGrid, rMax, (System.nanoTime() - t0) / 1000000L)
   }

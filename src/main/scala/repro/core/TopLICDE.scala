@@ -5,6 +5,7 @@ import repro.index.TreeIndex
 import repro.index.TreeIndex.{Inner, Leaf, Node, VertexRef}
 import repro.influence.MIA
 import repro.keywords.KeywordBV
+import repro.truss.Truss
 
 import scala.collection.{immutable, mutable}
 
@@ -72,8 +73,8 @@ object Community {
 /** Alg. 3's pruning: one rung of the Fig. 4 ladder, which runs the rung
   * below's strategies plus one. Keyword, support and score pruning are the
   * paper's (Lemmas 1/5, 2/6, 4/7), so `Score` is the paper's Alg. 3;
-  * `Certificate` adds [[TopLICDE.certified]], which the paper does not
-  * have. `label` names the rung's Fig. 4 row.
+  * `KeywordTruss` adds the K_Q gate ([[TopLICDE.keywordTruss]]), which the
+  * paper does not have. `label` names the rung's Fig. 4 row.
   */
 sealed abstract class Pruning(private val rank: Int, val label: String) extends Ordered[Pruning] {
   def compare(that: Pruning): Int = Integer.compare(rank, that.rank)
@@ -83,8 +84,8 @@ object Pruning {
   case object Keyword extends Pruning(0, "keyword")
   case object Support extends Pruning(1, "keyword+support")
   case object Score extends Pruning(2, "keyword+support+score")
-  case object Certificate extends Pruning(3, "keyword+support+score+certificate")
-  val ladder: Seq[Pruning] = Seq(Keyword, Support, Score, Certificate) // bottom up
+  case object KeywordTruss extends Pruning(3, "keyword+support+score+K_Q")
+  val ladder: Seq[Pruning] = Seq(Keyword, Support, Score, KeywordTruss) // bottom up
 }
 
 /** Counters reported by the ablation study (Fig. 4). Every r-hop
@@ -98,7 +99,7 @@ final class PruneStats {
   var vertexKeywordPruned = 0L    // r-hop candidates (Lemma 1 via BV_r)
   var vertexSupportPruned = 0L    // r-hop candidates (Lemma 2)
   var vertexScorePruned = 0L      // r-hop candidates (Lemma 4)
-  var vertexTrussPruned = 0L      // r-hop candidates failing the trussness certificate
+  var vertexTrussPruned = 0L      // r-hop candidates with no K_Q edge
   var heapTerminated = 0L         // remaining heap entries cut at termination
   var refined = 0L                // candidates fully refined
   var duplicates = 0L             // candidates equal to an already-kept community
@@ -117,8 +118,8 @@ final case class TopLResult(communities: Seq[Community], stats: PruneStats)
   *
   * Support pruning uses the *safe* form `ub_sup < k−2` (the paper's
   * printed `< k` can prune true answers; see DESIGN.md). A center that
-  * passes every test is refined only if it holds the trussness
-  * certificate ([[certified]]).
+  * passes every test is refined only if its row holds an edge of the
+  * keyword truss K_Q ([[keywordTruss]]).
   */
 object TopLICDE {
 
@@ -129,27 +130,20 @@ object TopLICDE {
     */
   def thetaZIndex(thetaGrid: Array[Double], theta: Double): Int = thetaGrid.lastIndexWhere(_ <= theta)
 
-  /** The trussness certificate of center v (DESIGN "Trussness
-    * certificate"): for k ≥ 3, v has at least k−1 neighbours u that match Q
-    * with edge trussness τ(v,u) ≥ k. Every seed community centered at v is a
-    * k-truss of Q-matching vertices in which v keeps an edge (v,u) lying in
-    * ≥ k−2 triangles: u and those k−2 third vertices are such neighbours.
-    * So a center without the certificate has no community. Vacuous for
-    * k ≤ 2, where a singleton is a community.
+  /** K_Q, the keyword truss of `q` (DESIGN "Keyword truss K_Q"): the
+    * maximal k-truss of G[V_Q], V_Q the vertices that match Q, as an
+    * `alive` mask over G's own CSR slots. A seed community is a k-truss
+    * whose members all match Q, so its edges lie in K_Q: for k ≥ 3 a center
+    * whose row holds no alive slot has no community.
     */
-  def certified(g: GraphData, v: Int, q: Query): Boolean = q.k <= 2 || {
-    val need = q.k - 1
-    val tau = g.edgeTruss
-    var count = 0
-    var i = g.offsets(v)
-    val end = g.offsets(v + 1)
-    while (i < end && count < need) {
-      val u = g.neigh(i)
-      if (tau(i) >= q.k && KeywordBV.mayIntersect(g.kwMask(u), q.queryBv) && g.matchesQuery(u, q.keywords))
-        count += 1
-      i += 1
-    }
-    count >= need
+  def keywordTruss(g: GraphData, q: Query): Array[Boolean] = {
+    val matches = Array.tabulate(g.n)(v =>
+      KeywordBV.mayIntersect(g.kwMask(v), q.queryBv) && g.matchesQuery(v, q.keywords))
+    val rows = Truss.Rows(g.offsets, g.neigh)
+    val alive = new Array[Boolean](g.neigh.length)
+    rows.foreachSlot((v, i) => alive(i) = matches(v) && matches(g.neigh(i)))
+    Truss.kTrussPeel(rows, alive, q.k)
+    alive
   }
 
   /** Answer `q`: the top L communities under [[Community.Ranking]], each
@@ -164,7 +158,7 @@ object TopLICDE {
       index: Node,
       thetaGrid: Array[Double],
       q: Query,
-      pruning: Pruning = Pruning.Certificate): TopLResult = {
+      pruning: Pruning = Pruning.KeywordTruss): TopLResult = {
     val stats = new PruneStats
     val ri = q.r - 1
     require(q.r <= index.agg.rMax, s"index built for r_max=${index.agg.rMax}, query r=${q.r}")
@@ -191,6 +185,15 @@ object TopLICDE {
         if (vertexLevel) stats.vertexScorePruned += weight else stats.entriesScorePruned += weight
         true
       } else false
+    }
+
+    // peeled on the first center that reaches the gate: a query that prunes
+    // every center before refinement pays nothing for it
+    lazy val kQ = keywordTruss(g, q)
+    def hasKQEdge(v: Int): Boolean = {
+      var i = g.offsets(v)
+      while (i < g.offsets(v + 1) && !kQ(i)) i += 1
+      i < g.offsets(v + 1)
     }
 
     def refine(v: VertexRef): Unit = {
@@ -225,7 +228,7 @@ object TopLICDE {
               stats.vertexKeywordPruned += 1
             else if (!pruned(v.agg, vertexLevel = true, weight = 1)) {
               // last, as it scans v's row: the O(1) tests above go first
-              if (pruning == Pruning.Certificate && !certified(g, v.id, q)) stats.vertexTrussPruned += 1
+              if (pruning == Pruning.KeywordTruss && q.k >= 3 && !hasKQEdge(v.id)) stats.vertexTrussPruned += 1
               else refine(v)
             }
           }

@@ -2,7 +2,6 @@ package repro.graph
 
 import org.apache.spark.sql.{DataFrame, Row}
 import repro.keywords.KeywordBV
-import repro.truss.Truss
 
 import scala.collection.mutable
 
@@ -23,9 +22,6 @@ import scala.collection.mutable
   * @param weight   activation probability p(u → neigh(i)), parallel to `neigh`
   * @param keywords per-vertex sorted keyword sets (exact membership checks)
   * @param kwMask   per-vertex keyword bit vector `v.BV` (pruning filter)
-  *
-  * The edge trussness [[edgeTruss]] is derived once from these arrays and
-  * is not part of the value: it is left out of equality and serialization.
   */
 final case class GraphData(
     n: Int,
@@ -35,17 +31,6 @@ final case class GraphData(
     keywords: Array[Array[Int]],
     kwMask: Array[Long]
 ) extends Serializable {
-
-  /** τ(e), the trussness of every edge in G (the largest k such that e lies
-    * in a k-truss of G), parallel to `neigh` and equal on both slots of an
-    * edge. Computed on first use; `Pipeline.build` forces it inside its
-    * timed span. `@transient` keeps it out of the Spark broadcasts of G:
-    * only Alg. 3's trussness certificate, on the driver, reads it.
-    */
-  @transient lazy val edgeTruss: Array[Int] = {
-    val rows = Truss.Rows(offsets, neigh)
-    Truss.trussness(rows, rows.allAlive)
-  }
 
   /** Number of undirected edges |E(G)| (each stored twice). */
   def numUndirectedEdges: Long = neigh.length.toLong / 2

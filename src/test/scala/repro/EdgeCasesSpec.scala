@@ -81,6 +81,8 @@ class EdgeCasesSpec extends AnyFunSuite {
     val idx = TreeIndex.build(Array(Precompute.localVertexRef(g, Array(0), 0, 1, grid)))
     val built = Pipeline.Built(g, idx, grid, 1, 0L)
     assert(message(built.dTopL(Query(Array(0), 3, 1, 0.2, 1), 0)).contains("n = 0"))
+    // 3 · 1431655766 = 2^32 + 2: unchecked, the top-n·L step would run with L = 2
+    assert(message(built.dTopL(Query(Array(0), 2, 1, 0.2, 3), 1431655766)).contains("n = 1431655766"))
   }
 
   test("DTopL selectors with L = 0 return empty") {

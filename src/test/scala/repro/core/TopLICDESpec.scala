@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.SocialGraph
+import repro.graph.{GraphData, SocialGraph}
 import repro.index.Precompute
 import repro.{MiniChecks, TestGraphs}
 
@@ -194,32 +194,67 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
     }
   }
 
-  test("property: a center without the trussness certificate has no seed community") {
+  private def hasKQEdge(g: GraphData, kQ: Array[Boolean], v: Int): Boolean =
+    (g.offsets(v) until g.offsets(v + 1)).exists(kQ(_))
+
+  test("property: keywordTruss is refKTruss of G[V_Q], slot by slot") {
+    val gen = Gen.zip(
+      Gen.chooseNum(4, 30),        // n
+      Gen.chooseNum(1, 200),       // seed
+      Gen.chooseNum(2, 5),         // k
+      Gen.chooseNum(1, 4))         // |Q|
+    var (kept, peeled) = (0, 0)
+    forAllN(gen, n = 80) { case (n, seed, k, qSize) =>
+      val rnd = new Random(seed.toLong)
+      val g = TestGraphs.random(n, 0.2 + 0.4 * rnd.nextDouble(), sigma = 5, kwPerVertex = 2, seed = seed.toLong)
+      val q = Query(rnd.shuffle((0 until 5).toList).take(qSize).toArray, k, 1, 0.2, 1)
+      val inVQ = (0 until g.n).map(g.matchesQuery(_, q.keywords))
+      val gVQ: TestGraphs.Adj = TestGraphs.adjOf(g).zip(inVQ).map { case (ns, in) => if (in) ns.filter(inVQ) else ns.empty }
+      val want = TestGraphs.refKTruss(gVQ, k)
+      val kQ = TopLICDE.keywordTruss(g, q)
+      val rows = TestGraphs.rowsOf(g)
+      rows.foreachSlot { (u, i) =>
+        val v = rows.neigh(i)
+        assert(kQ(i) == want(u).contains(v), s"slot ($u, $v), k = $k")
+        if (kQ(i)) kept += 1 else if (gVQ(u).contains(v)) peeled += 1
+      }
+    }
+    assert(kept > 0 && peeled > 0, s"kept $kept, peeled $peeled: a side never ran")
+  }
+
+  test("property: a center with no K_Q edge has no seed community") {
     val gen = Gen.zip(
       Gen.chooseNum(8, 40),        // n
       Gen.chooseNum(1, 200),       // seed
       Gen.chooseNum(3, 5),         // k
       Gen.chooseNum(1, 3),         // r
       Gen.chooseNum(1, 4))         // |Q|
-    var failing = 0
+    var fired = 0
     forAllN(gen, n = 80) { case (n, seed, k, r, qSize) =>
       val rnd = new Random(seed.toLong)
       val g = TestGraphs.random(n, 0.2 + 0.3 * rnd.nextDouble(), sigma = 5, kwPerVertex = 2, seed = seed.toLong)
       val q = Query(rnd.shuffle((0 until 5).toList).take(qSize).toArray, k, r, 0.2, 1)
-      (0 until g.n).filterNot(TopLICDE.certified(g, _, q)).foreach { v =>
-        failing += 1
-        assert(TestGraphs.refSeed(g, v, r, k, q.keywords).isEmpty, s"center $v fails the certificate but has a community")
+      val kQ = TopLICDE.keywordTruss(g, q)
+      (0 until g.n).filterNot(hasKQEdge(g, kQ, _)).foreach { v =>
+        // the gate fires on it: v matches Q and keeps an edge in G[V_Q]
+        if (g.matchesQuery(v, q.keywords) && g.neighborsOf(v).exists(g.matchesQuery(_, q.keywords))) fired += 1
+        assert(TestGraphs.refSeed(g, v, r, k, q.keywords).isEmpty, s"center $v has no K_Q edge but has a community")
       }
     }
-    assert(failing > 0, "the certificate never fired")
+    assert(fired > 0, "the K_Q gate never cut an edge of G[V_Q] from a matching center")
   }
 
-  test("the trussness certificate is vacuous for k <= 2") {
+  test("the K_Q gate is vacuous for k <= 2") {
+    // vertex 2 is isolated: no K_Q edge, but a singleton community at k = 2
     val g = SocialGraph.fromEdges(3, Seq((0, 1)))
-    assert((0 until 3).forall(TopLICDE.certified(g, _, Query(Array(0), 2, 1, 0.2, 1))))
+    val q = Query(Array(0), 2, 1, 0.2, 3)
+    val res = TopLICDE.run(g, TestGraphs.localIndex(g, 1), grid, q, Pruning.KeywordTruss)
+    assert(res.stats.vertexTrussPruned == 0)
+    assert(answers(res).map(_._2).contains(Seq(2)))
+    TestGraphs.assertSameAnswers(answers(res), TestGraphs.refTopL(g, q))
   }
 
-  test("property: the certificate changes only refined and noCommunity, by vertexTrussPruned") {
+  test("property: KeywordTruss vs Score changes only refined and noCommunity, each by vertexTrussPruned") {
     def others(s: PruneStats): Seq[Long] = Seq(s.entriesKeywordPruned, s.entriesSupportPruned,
       s.entriesScorePruned, s.vertexKeywordPruned, s.vertexSupportPruned, s.vertexScorePruned,
       s.heapTerminated, s.duplicates)
@@ -242,7 +277,7 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
         } else TestGraphs.random(8 + rnd.nextInt(25), 0.3, sigma = 5, seed = seed.toLong)
       val idx = TestGraphs.localIndex(g, 2, fanout = 2 + rnd.nextInt(4))
       val q = Query(Array(0, 1), k, r, theta, l)
-      val on = TopLICDE.run(g, idx, grid, q, Pruning.Certificate)
+      val on = TopLICDE.run(g, idx, grid, q, Pruning.KeywordTruss)
       val off = TopLICDE.run(g, idx, grid, q, Pruning.Score)
       Seq(on, off).foreach(res => assert(res.stats.totalPruned + res.stats.refined == g.n))
       assert(reported(on) == reported(off))
@@ -253,6 +288,6 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
       assert(off.stats.noCommunity - on.stats.noCommunity == cut)
       skipped += cut
     }
-    assert(skipped > 0, "the certificate never fired")
+    assert(skipped > 0, "the K_Q gate never fired")
   }
 }

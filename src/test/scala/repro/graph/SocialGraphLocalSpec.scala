@@ -86,12 +86,4 @@ class SocialGraphLocalSpec extends AnyFunSuite with MiniChecks {
     val q = Query(Array(1, 2, 3), 3, 2, 0.2, 5)
     assert(q.queryBv == repro.keywords.KeywordBV.hashSet(Seq(1, 2, 3)))
   }
-
-  test("property: edgeTruss is refTrussness on both slots of every edge") {
-    forAllN2(Gen.chooseNum(4, 24), Gen.chooseNum(1, 40), n = 30) { (n, seed) =>
-      val g = TestGraphs.random(n, 0.4, seed = seed.toLong)
-      val want = TestGraphs.bothWays(TestGraphs.refTrussness(TestGraphs.adjOf(g)))
-      assert(TestGraphs.bySlot(TestGraphs.rowsOf(g), g.edgeTruss) == want)
-    }
-  }
 }
