@@ -20,12 +20,9 @@ object ATindex {
   final case class Offline(vertexTrussness: Array[Int])
 
   /** Offline phase: full truss decomposition of G, over G's own sorted
-    * CSR rows.
+    * CSR rows, [[GraphData.rows]].
     */
-  def offline(g: GraphData): Offline = {
-    val rows = Truss.Rows(g.offsets, g.neigh)
-    Offline(rows.rowMax(Truss.trussness(rows, rows.allAlive)))
-  }
+  def offline(g: GraphData): Offline = Offline(g.rows.rowMax(Truss.trussness(g.rows, g.rows.allAlive)))
 
   /** Online phase, exactly as the paper describes the baseline: every
     * center whose trussness reaches k (every center for k ≤ 2, where an

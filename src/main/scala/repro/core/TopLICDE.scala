@@ -139,10 +139,9 @@ object TopLICDE {
   def keywordTruss(g: GraphData, q: Query): Array[Boolean] = {
     val matches = Array.tabulate(g.n)(v =>
       KeywordBV.mayIntersect(g.kwMask(v), q.queryBv) && g.matchesQuery(v, q.keywords))
-    val rows = Truss.Rows(g.offsets, g.neigh)
     val alive = new Array[Boolean](g.neigh.length)
-    rows.foreachSlot((v, i) => alive(i) = matches(v) && matches(g.neigh(i)))
-    Truss.kTrussPeel(rows, alive, q.k)
+    g.rows.foreachSlot((v, i) => alive(i) = matches(v) && matches(g.neigh(i)))
+    Truss.kTrussPeel(g.rows, alive, q.k)
     alive
   }
 

@@ -125,7 +125,7 @@ object Experiments {
       atRefined: Long,
       speedup: Double)
 
-  /** Each online side is the median of 5 runs; the three sides alternate
+  /** Each online side is the median of 9 runs; the three sides alternate
     * inside one loop, so drift in the machine's speed reaches all of them
     * alike. ATindex's offline time is a median of 3, so the first graph does
     * not carry the JIT warm-up of the truss decomposition alone.
@@ -136,7 +136,7 @@ object Experiments {
       val built = buildCached(spark, c.name, c.gf)
       val q = query()
       val (off, atOffMs) = medianMs(3)(ATindex.offline(built.g))
-      val runs = (1 to 5).map { _ =>
+      val runs = (1 to 9).map { _ =>
         val (_, topLMs) = timeMs(built.topL(q))
         val (_, noKQMs) = timeMs(built.topL(q, Pruning.Score))
         val ((_, refined), atMs) = timeMs(ATindex.query(built.g, off, q))

@@ -1,9 +1,8 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 import repro.keywords.KeywordBV
-
-import scala.collection.mutable
+import repro.truss.Truss
 
 /** Compact in-memory form of a social network (paper Definition 1).
   *
@@ -31,6 +30,12 @@ final case class GraphData(
     keywords: Array[Array[Int]],
     kwMask: Array[Long]
 ) extends Serializable {
+
+  /** G's sorted rows for the whole-graph truss kernels, with their O(|E|)
+    * reverse-slot array: the one whole-graph [[Truss.Rows]], built on first
+    * use and kept. Transient: a broadcast does not ship it.
+    */
+  @transient lazy val rows: Truss.Rows = Truss.Rows(offsets, neigh)
 
   /** Number of undirected edges |E(G)| (each stored twice). */
   def numUndirectedEdges: Long = neigh.length.toLong / 2
@@ -100,7 +105,8 @@ object SocialGraph {
     */
   final case class GraphFrames(vertices: DataFrame, edges: DataFrame)
 
-  /** Collect the DataFrame form into the compact CSR form.
+  /** Collect the DataFrame form into the compact CSR form, through
+    * [[build]] after the vertex rows are checked.
     *
     * Only used at driver/broadcast scale (|V| ≤ ~100K); the generators and
     * all whole-graph aggregates stay distributed.
@@ -109,8 +115,8 @@ object SocialGraph {
     val vRows = gf.vertices.select("id", "keywords").collect()
     val n = vRows.length
     val keywords = new Array[Array[Int]](n)
-    val kwMask = new Array[Long](n)
     vRows.foreach { r =>
+      require(!r.isNullAt(0), s"vertex row ${r.mkString("(", ", ", ")")} has a null id")
       val id = r.getLong(0)
       require(id >= 0 && id < n, s"vertex row $id: ids must be dense 0..n-1, n = $n")
       require(keywords(id.toInt) == null, s"repeated vertex row $id")
@@ -118,61 +124,17 @@ object SocialGraph {
       val boxed = r.getSeq[Integer](1)
       require(boxed != null, s"vertex row $id has a null keyword array")
       require(!boxed.contains(null), s"vertex row $id has a null keyword")
-      keywords(id.toInt) = boxed.map(_.intValue).toArray.sorted
-      kwMask(id.toInt) = KeywordBV.hashSet(keywords(id.toInt))
+      keywords(id.toInt) = boxed.map(_.intValue).toArray
     }
-    val eRows: Array[Row] = gf.edges.select("src", "dst", "weight").collect()
-    eRows.foreach { r =>
-      val (s, d) = (r.getLong(0), r.getLong(1))
-      require(s >= 0 && s < n && d >= 0 && d < n, s"edge row ($s, $d) has an end outside 0..n-1, n = $n")
-    }
-    val deg = new Array[Int](n)
-    eRows.foreach(r => deg(r.getLong(0).toInt) += 1)
-    val offsets = new Array[Int](n + 1)
-    var i = 0
-    while (i < n) { offsets(i + 1) = offsets(i) + deg(i); i += 1 }
-    val neigh = new Array[Int](eRows.length)
-    val weight = new Array[Double](eRows.length)
-    val cursor = offsets.clone()
-    eRows.foreach { r =>
-      val s = r.getLong(0).toInt
-      neigh(cursor(s)) = r.getLong(1).toInt
-      weight(cursor(s)) = r.getDouble(2)
-      cursor(s) += 1
-    }
-    // Sort each adjacency row by neighbour id (binary-searchable, stable).
-    i = 0
-    while (i < n) {
-      val from = offsets(i); val until = offsets(i + 1)
-      val idx = (from until until).sortBy(neigh)
-      val nn = idx.map(neigh).toArray; val ww = idx.map(weight).toArray
-      System.arraycopy(nn, 0, neigh, from, nn.length)
-      System.arraycopy(ww, 0, weight, from, ww.length)
-      i += 1
-    }
-    // The ingest boundary: the sorted-row truss kernels need a simple
-    // symmetric structure, and MIA's best-first expansion needs p in (0, 1].
-    i = 0
-    while (i < n) {
-      var s = offsets(i)
-      while (s < offsets(i + 1)) {
-        val d = neigh(s)
-        require(d != i, s"self loop: edge row ($i, $d)")
-        require(s == offsets(i) || neigh(s - 1) != d, s"repeated edge row ($i, $d)")
-        require(java.util.Arrays.binarySearch(neigh, offsets(d), offsets(d + 1), i) >= 0,
-          s"edge row ($i, $d) has no reverse row ($d, $i)")
-        require(weight(s) > 0 && weight(s) <= 1, s"edge row ($i, $d) has weight ${weight(s)} outside (0, 1]")
-        s += 1
-      }
-      i += 1
-    }
-    GraphData(n, offsets, neigh, weight, keywords, kwMask)
+    val eRows = gf.edges.select("src", "dst", "weight").collect()
+    eRows.foreach(r => require(!r.anyNull, s"edge row ${r.mkString("(", ", ", ")")} has a null field"))
+    build(keywords, eRows.map(_.getLong(0)), eRows.map(_.getLong(1)), eRows.map(_.getDouble(2)))
   }
 
-  /** Build a small [[GraphData]] directly from edge/keyword lists (tests).
-    *
-    * `undirected` pairs are expanded to both directions with the given
-    * per-direction weights defaulting to `w`.
+  /** Build a small [[GraphData]] directly from edge/keyword lists (tests),
+    * through [[build]]: each `undirected` pair becomes one row per
+    * direction, weighted by `directedWeights` or else `w`; a vertex without
+    * keywords gets {0}.
     */
   def fromEdges(
       n: Int,
@@ -181,21 +143,45 @@ object SocialGraph {
       w: Double = 0.5,
       directedWeights: Map[(Int, Int), Double] = Map.empty
   ): GraphData = {
-    val adj = Array.fill(n)(mutable.TreeMap[Int, Double]())
-    undirected.foreach { case (u, v) =>
-      require(u != v, s"self loop $u")
-      adj(u)(v) = directedWeights.getOrElse((u, v), w)
-      adj(v)(u) = directedWeights.getOrElse((v, u), w)
+    val rows = undirected.flatMap { case (u, v) => Seq((u, v), (v, u)) }.toArray
+    build(Array.tabulate(n)(keywords.getOrElse(_, Seq(0)).toArray),
+      rows.map(_._1.toLong), rows.map(_._2.toLong), rows.map(directedWeights.getOrElse(_, w)))
+  }
+
+  /** The one CSR builder and the ingest boundary: row j is the directed
+    * edge src(j) → dst(j) with weight(j), and vertex v, 0 ≤ v < n =
+    * keywords.length, has the keyword set keywords(v). Each adjacency row is
+    * sorted by neighbour id, with no boxing: a counting sort by src, then a
+    * primitive sort of (dst << 32 | j) inside each row. Input the sorted-row
+    * truss kernels (a simple symmetric structure) or MIA's best-first
+    * expansion (p in (0, 1]) cannot take is rejected, naming the row.
+    */
+  private def build(keywords: Array[Array[Int]], src: Array[Long], dst: Array[Long], weight: Array[Double]): GraphData = {
+    val n = keywords.length
+    src.indices.foreach { j =>
+      require(src(j) >= 0 && src(j) < n && dst(j) >= 0 && dst(j) < n,
+        s"edge row (${src(j)}, ${dst(j)}) has an end outside 0..n-1, n = $n")
     }
     val offsets = new Array[Int](n + 1)
-    (0 until n).foreach(i => offsets(i + 1) = offsets(i) + adj(i).size)
-    val neigh = new Array[Int](offsets(n))
-    val weight = new Array[Double](offsets(n))
-    var p = 0
-    (0 until n).foreach { i =>
-      adj(i).foreach { case (v, wt) => neigh(p) = v; weight(p) = wt; p += 1 }
+    src.foreach(s => offsets(s.toInt + 1) += 1)
+    (0 until n).foreach(v => offsets(v + 1) += offsets(v))
+    val cursor = offsets.clone()
+    val packed = new Array[Long](src.length)
+    src.indices.foreach { j => packed(cursor(src(j).toInt)) = (dst(j) << 32) | j; cursor(src(j).toInt) += 1 }
+    (0 until n).foreach(v => java.util.Arrays.sort(packed, offsets(v), offsets(v + 1)))
+    val neigh = packed.map(p => (p >>> 32).toInt)
+    val w = packed.map(p => weight(p.toInt))
+    (0 until n).foreach { v =>
+      (offsets(v) until offsets(v + 1)).foreach { i =>
+        val d = neigh(i)
+        require(d != v, s"self loop: edge row ($v, $d)")
+        require(i == offsets(v) || neigh(i - 1) != d, s"repeated edge row ($v, $d)")
+        require(java.util.Arrays.binarySearch(neigh, offsets(d), offsets(d + 1), v) >= 0,
+          s"edge row ($v, $d) has no reverse row ($d, $v)")
+        require(w(i) > 0 && w(i) <= 1, s"edge row ($v, $d) has weight ${w(i)} outside (0, 1]")
+      }
     }
-    val kw = (0 until n).map(i => keywords.getOrElse(i, Seq(0)).toArray.sorted).toArray
-    GraphData(n, offsets, neigh, weight, kw, kw.map(ks => KeywordBV.hashSet(ks.toSeq)))
+    val kw = keywords.map(_.sorted)
+    GraphData(n, offsets, neigh, w, kw, kw.map(KeywordBV.hashSet(_)))
   }
 }

@@ -38,9 +38,9 @@ object Precompute {
 
   /** Max whole-graph support of the edges incident to each vertex (0 for
     * isolated vertices): [[repro.truss.Truss.supports]] over G's own sorted
-    * CSR rows, folded per row.
+    * CSR rows, [[GraphData.rows]], folded per row.
     */
-  def incidentMaxSupport(g: GraphData): Array[Int] = incident(Truss.Rows(g.offsets, g.neigh))
+  def incidentMaxSupport(g: GraphData): Array[Int] = incident(g.rows)
 
   /** [[incidentMaxSupport]] of every (src, dst) row of `edges`, symmetrised,
     * deduplicated and without self loops; `spark` is unused.

@@ -26,7 +26,7 @@ class EdgeCasesSpec extends AnyFunSuite {
   }
 
   test("kcore: k = 0 and k = 1 keep all edges") {
-    val rows = TestGraphs.rowsOf(TestGraphs.bowtie())
+    val rows = TestGraphs.bowtie().rows
     Seq(0, 1).foreach { k =>
       val alive = rows.allAlive
       KCore.kCorePeel(rows, alive, k)

@@ -61,9 +61,6 @@ object TestGraphs {
   /** Adjacency sets of the undirected structure of g. */
   def adjOf(g: GraphData): Adj = Array.tabulate(g.n)(v => mutable.HashSet.from(g.neighborsOf(v)))
 
-  /** g's own sorted CSR rows, as the whole-graph kernels see them. */
-  def rowsOf(g: GraphData): Truss.Rows = Truss.Rows(g.offsets, g.neigh)
-
   /** Adjacency sets of the alive edges of `rows`. */
   def adjOf(rows: Truss.Rows, alive: Array[Boolean]): Adj =
     Array.tabulate(rows.n)(v =>

@@ -212,7 +212,7 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
       val gVQ: TestGraphs.Adj = TestGraphs.adjOf(g).zip(inVQ).map { case (ns, in) => if (in) ns.filter(inVQ) else ns.empty }
       val want = TestGraphs.refKTruss(gVQ, k)
       val kQ = TopLICDE.keywordTruss(g, q)
-      val rows = TestGraphs.rowsOf(g)
+      val rows = g.rows
       rows.foreachSlot { (u, i) =>
         val v = rows.neigh(i)
         assert(kQ(i) == want(u).contains(v), s"slot ($u, $v), k = $k")

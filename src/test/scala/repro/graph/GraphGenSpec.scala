@@ -146,22 +146,27 @@ class GraphGenSpec extends SparkSpec {
     }
   }
 
-  /** toGraphData of the vertex rows (id, keywords), None standing for a
-    * null, and the given (src, dst, weight) rows; the error message if it
+  /** toGraphData of the vertex rows (id, keywords) and the (src, dst,
+    * weight) rows, None standing for a null; the error message if it
     * rejects them.
     */
   private def ingestRows(
-      vertices: Seq[(Long, Option[Seq[Option[Int]]])],
-      rows: (Long, Long, Double)*): Either[String, GraphData] = {
+      vertices: Seq[(Option[Long], Option[Seq[Option[Int]]])],
+      rows: Seq[(Option[Long], Option[Long], Option[Double])]): Either[String, GraphData] = {
     import spark.implicits._
     val gf = SocialGraph.GraphFrames(vertices.toDF("id", "keywords"), rows.toDF("src", "dst", "weight"))
     try Right(SocialGraph.toGraphData(gf))
     catch { case e: IllegalArgumentException => Left(e.getMessage) }
   }
 
+  private def nonNull(rows: Seq[(Long, Long, Double)]): Seq[(Option[Long], Option[Long], Option[Double])] =
+    rows.map { case (s, d, w) => (Some(s), Some(d), Some(w)) }
+
+  private val kw0 = Some(Seq(Some(0)))
+
   /** [[ingestRows]] of the vertex ids `ids`, each with keyword {0}. */
   private def ingest(ids: Seq[Long], rows: (Long, Long, Double)*): Either[String, GraphData] =
-    ingestRows(ids.map(id => (id, Some(Seq(Some(0))))), rows: _*)
+    ingestRows(ids.map(id => (Some(id), kw0)), nonNull(rows))
 
   private def ingest(rows: (Long, Long, Double)*): Either[String, GraphData] = ingest(Seq(0L, 1L, 2L), rows: _*)
 
@@ -203,12 +208,55 @@ class GraphGenSpec extends SparkSpec {
   }
 
   test("toGraphData rejects a null keyword, naming the vertex row") {
-    val err = ingestRows(Seq((0L, Some(Seq(None, Some(3)))), (1L, Some(Seq(Some(0))))), pair: _*)
+    val err = ingestRows(Seq((Some(0L), Some(Seq(None, Some(3)))), (Some(1L), kw0)), nonNull(pair))
     assert(err.left.exists(m => m.contains("vertex row 0") && m.contains("null keyword")), err)
   }
 
   test("toGraphData rejects a null keyword array, naming the vertex row") {
-    val err = ingestRows(Seq((0L, Some(Seq(Some(0)))), (1L, None)), pair: _*)
+    val err = ingestRows(Seq((Some(0L), kw0), (Some(1L), None)), nonNull(pair))
     assert(err.left.exists(m => m.contains("vertex row 1") && m.contains("null keyword array")), err)
+  }
+
+  test("toGraphData rejects a null vertex id, naming the row") {
+    val err = ingestRows(Seq((Some(0L), kw0), (None, kw0)), nonNull(pair))
+    assert(err.left.exists(m => m.contains("vertex row (null, ") && m.contains("null id")), err)
+  }
+
+  test("toGraphData rejects a null edge end or weight, naming the row") {
+    Seq((None, Some(0L), Some(0.5)) -> "(null, 0, 0.5)", (Some(1L), None, Some(0.5)) -> "(1, null, 0.5)",
+      (Some(1L), Some(0L), None) -> "(1, 0, null)").foreach { case (row, named) =>
+      val err = ingestRows(Seq((Some(0L), kw0), (Some(1L), kw0)), nonNull(pair.take(1)) :+ row)
+      assert(err.left.exists(m => m.contains(s"edge row $named") && m.contains("null field")), s"$row: $err")
+    }
+  }
+
+  /** The five arrays of g, for exact comparison. */
+  private def arrays(g: GraphData): Seq[Seq[Any]] =
+    Seq(g.offsets.toSeq, g.neigh.toSeq, g.weight.toSeq, g.keywords.toSeq.map(_.toSeq), g.kwMask.toSeq)
+
+  test("property: toGraphData does not depend on partitioning or row order, and matches a map reference") {
+    Seq(uni, GraphGen.amazonLike(spark, 600, seed = 5L)).foreach { gf =>
+      val g = SocialGraph.toGraphData(gf)
+      def shuffled(df: org.apache.spark.sql.DataFrame, seed: Long) =
+        spark.createDataFrame(spark.sparkContext.parallelize(
+          new scala.util.Random(seed).shuffle(df.collect().toSeq), 5), df.schema)
+      Seq(gf.copy(edges = gf.edges.repartition(7)), gf.copy(vertices = gf.vertices.repartition(3)),
+        SocialGraph.GraphFrames(shuffled(gf.vertices, 11L), shuffled(gf.edges, 12L))).foreach { other =>
+        assert(arrays(SocialGraph.toGraphData(other)) == arrays(g))
+      }
+      // reference: every (src, dst) → weight row present, nothing else, rows ascending
+      val want = gf.edges.select("src", "dst", "weight").collect()
+        .map(r => (r.getLong(0).toInt, r.getLong(1).toInt) -> r.getDouble(2)).toMap
+      val got = (0 until g.n).flatMap { v =>
+        val row = g.neighborsOf(v)
+        assert(row.toSeq == row.sorted.toSeq, s"row $v ascending")
+        (g.offsets(v) until g.offsets(v + 1)).map(i => (v, g.neigh(i)) -> g.weight(i))
+      }
+      assert(got.length == want.size && got.toMap == want)
+      val kws = gf.vertices.collect().map(r => r.getLong(0).toInt -> r.getSeq[Int](1).sorted).toMap
+      (0 until g.n).foreach { v =>
+        assert(g.keywords(v).toSeq == kws(v) && g.kwMask(v) == repro.keywords.KeywordBV.hashSet(kws(v)))
+      }
+    }
   }
 }

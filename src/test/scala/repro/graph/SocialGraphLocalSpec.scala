@@ -18,8 +18,17 @@ class SocialGraphLocalSpec extends AnyFunSuite with MiniChecks {
     assert(g.numUndirectedEdges == 2)
   }
 
-  test("fromEdges rejects self loops") {
-    intercept[IllegalArgumentException] { SocialGraph.fromEdges(2, Seq((1, 1))) }
+  test("fromEdges rejects bad rows, naming the row") {
+    def rejects(g: => GraphData, what: String, row: String): Unit = {
+      val m = intercept[IllegalArgumentException](g).getMessage
+      assert(m.contains(what) && m.contains(row), m)
+    }
+    rejects(SocialGraph.fromEdges(2, Seq((1, 1))), "self loop", "(1, 1)")
+    rejects(SocialGraph.fromEdges(3, Seq((0, 1), (1, 2), (0, 1))), "repeated", "(0, 1)")
+    Seq(0.0, 1.5).foreach { w =>
+      rejects(SocialGraph.fromEdges(3, Seq((0, 1), (1, 2)), directedWeights = Map((2, 1) -> w)), "outside (0, 1]", "(2, 1)")
+    }
+    rejects(SocialGraph.fromEdges(3, Seq((0, 1), (1, 3))), "outside 0..n-1", "(1, 3)")
   }
 
   test("degree and neighborsOf are consistent") {

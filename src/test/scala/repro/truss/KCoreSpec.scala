@@ -38,13 +38,13 @@ class KCoreSpec extends AnyFunSuite with MiniChecks {
   }
 
   test("K5 is a 4-core, not a 5-core") {
-    val rows = TestGraphs.rowsOf(TestGraphs.clique(5))
+    val rows = TestGraphs.clique(5).rows
     assert(TestGraphs.edgeSet(cored(rows, 4)).size == 10)
     assert(TestGraphs.edgeSet(cored(rows, 5)).isEmpty)
   }
 
   test("pendant vertex peeled at k=2") {
-    val adj = cored(TestGraphs.rowsOf(TestGraphs.bowtie()), 2)
+    val adj = cored(TestGraphs.bowtie().rows, 2)
     assert(adj(4).isEmpty)
     assert(adj(0).nonEmpty)
   }
@@ -70,12 +70,12 @@ class KCoreSpec extends AnyFunSuite with MiniChecks {
     // vertex is its own K4.
     val k4a = for { u <- 0 until 4; v <- (u + 1) until 4 } yield (u, v)
     val k4b = for { u <- 4 until 8; v <- (u + 1) until 8 } yield (u, v)
-    val rows = TestGraphs.rowsOf(repro.graph.SocialGraph.fromEdges(9, k4a ++ k4b ++ Seq((0, 8), (8, 4))))
+    val rows = repro.graph.SocialGraph.fromEdges(9, k4a ++ k4b ++ Seq((0, 8), (8, 4))).rows
     assert(KCore.kCoreCommunity(rows, 1, 3).toSeq == Seq(0, 1, 2, 3))
     assert(KCore.kCoreCommunity(rows, 5, 3).toSeq == Seq(4, 5, 6, 7))
   }
 
   test("kCoreCommunity empty when center peeled") {
-    assert(KCore.kCoreCommunity(TestGraphs.rowsOf(TestGraphs.bowtie()), 4, 2).isEmpty)
+    assert(KCore.kCoreCommunity(TestGraphs.bowtie().rows, 4, 2).isEmpty)
   }
 }

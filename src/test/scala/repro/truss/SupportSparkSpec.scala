@@ -17,7 +17,7 @@ class SupportSparkSpec extends SparkSpec {
   }
 
   test("distributed edge supports equal the local Truss.supports") {
-    val rows = TestGraphs.rowsOf(gd)
+    val rows = gd.rows
     val local = TestGraphs.bySlot(rows, Truss.supports(rows, rows.allAlive)).filter { case ((u, v), _) => u < v }
     val dist = Support.edgeSupports(gf.edges).collect()
       .map(r => (r.getLong(0).toInt, r.getLong(1).toInt) -> r.getLong(2).toInt)
@@ -74,7 +74,7 @@ class SupportSparkSpec extends SparkSpec {
   test("supports of a generated clique-overlap graph are consistent with trussness") {
     val d = GraphGen.dblpLike(spark, 400, seed = 5L)
     val g = SocialGraph.toGraphData(d)
-    val rows = TestGraphs.rowsOf(g)
+    val rows = g.rows
     val sup = Truss.supports(rows, rows.allAlive)
     val tn = Truss.trussness(rows, rows.allAlive)
     // trussness(e) <= sup(e) + 2 always
@@ -82,7 +82,7 @@ class SupportSparkSpec extends SparkSpec {
   }
 
   test("supports and trussness equal the references slot by slot on a generated NWS graph") {
-    val rows = TestGraphs.rowsOf(gd)
+    val rows = gd.rows
     val adj = TestGraphs.adjOf(gd)
     assert(TestGraphs.bySlot(rows, Truss.supports(rows, rows.allAlive)) == TestGraphs.bothWays(TestGraphs.refSupports(adj)))
     assert(TestGraphs.bySlot(rows, Truss.trussness(rows, rows.allAlive)) == TestGraphs.bothWays(TestGraphs.refTrussness(adj)))

@@ -30,7 +30,7 @@ class TrussSpec extends AnyFunSuite with MiniChecks {
     vals(java.util.Arrays.binarySearch(rows.neigh, rows.offsets(u), rows.offsets(u + 1), v))
 
   test("supports on the bowtie graph") {
-    val rows = TestGraphs.rowsOf(TestGraphs.bowtie())
+    val rows = TestGraphs.bowtie().rows
     val sup = Truss.supports(rows, rows.allAlive)
     assert(at(rows, sup, 1, 2) == 2) // (1,2) in triangles {0,1,2} and {1,2,3}
     assert(at(rows, sup, 2, 1) == 2)
@@ -39,13 +39,13 @@ class TrussSpec extends AnyFunSuite with MiniChecks {
   }
 
   test("supports of K5: every edge in 3 triangles") {
-    val rows = TestGraphs.rowsOf(TestGraphs.clique(5))
+    val rows = TestGraphs.clique(5).rows
     assert(Truss.supports(rows, rows.allAlive).toSet == Set(3))
   }
 
   test("K_n is an n-truss but not an (n+1)-truss") {
     (3 to 7).foreach { n =>
-      val rows = TestGraphs.rowsOf(TestGraphs.clique(n))
+      val rows = TestGraphs.clique(n).rows
       assert(TestGraphs.isKTruss(TestGraphs.adjOf(rows, rows.allAlive), n))
       assert(peeled(rows, n).size == n * (n - 1) / 2)
       assert(peeled(rows, n + 1).isEmpty)
@@ -56,11 +56,11 @@ class TrussSpec extends AnyFunSuite with MiniChecks {
     // bowtie edges have supports {0,1,1,1,1,2}; 4-truss needs support >= 2
     // on EVERY edge of the remaining subgraph: after removing support-1
     // edges, the rest collapses.
-    assert(peeled(TestGraphs.rowsOf(TestGraphs.bowtie()), 4).isEmpty)
+    assert(peeled(TestGraphs.bowtie().rows, 4).isEmpty)
   }
 
   test("3-truss peel of bowtie keeps both triangles, drops the pendant") {
-    assert(peeled(TestGraphs.rowsOf(TestGraphs.bowtie()), 3) == Set((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)))
+    assert(peeled(TestGraphs.bowtie().rows, 3) == Set((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)))
   }
 
   test("property: peel equals naive fixpoint reference on random graphs") {
@@ -81,17 +81,17 @@ class TrussSpec extends AnyFunSuite with MiniChecks {
   }
 
   test("peel with k <= 2 is a no-op") {
-    val rows = TestGraphs.rowsOf(TestGraphs.bowtie())
+    val rows = TestGraphs.bowtie().rows
     assert(peeled(rows, 2) == TestGraphs.edgeSet(TestGraphs.adjOf(rows, rows.allAlive)))
   }
 
   test("trussness of K5 is 5 on every edge") {
-    val rows = TestGraphs.rowsOf(TestGraphs.clique(5))
+    val rows = TestGraphs.clique(5).rows
     assert(Truss.trussness(rows, rows.allAlive).toSet == Set(5))
   }
 
   test("trussness of bowtie: triangles 3, pendant 2") {
-    val rows = TestGraphs.rowsOf(TestGraphs.bowtie())
+    val rows = TestGraphs.bowtie().rows
     val tn = Truss.trussness(rows, rows.allAlive)
     assert(at(rows, tn, 3, 4) == 2 && at(rows, tn, 4, 3) == 2)
     assert(at(rows, tn, 0, 1) == 3)
