@@ -83,8 +83,8 @@ object Experiments {
   // Offline builds are the expensive part; share them across bench suites
   // running in the same JVM.
   private val cache = mutable.HashMap[String, Pipeline.Built]()
-  def buildCached(spark: SparkSession, key: String, gf: => GraphFrames, rMax: Int = RMax): Pipeline.Built =
-    synchronized { cache.getOrElseUpdate(s"$key@r$rMax", Pipeline.build(spark, gf, rMax, ThetaGrid)) }
+  def buildCached(spark: SparkSession, key: String, gf: => GraphFrames): Pipeline.Built =
+    synchronized { cache.getOrElseUpdate(key, Pipeline.build(spark, gf, RMax, ThetaGrid)) }
 
   def timeMs[A](f: => A): (A, Double) = {
     val t0 = System.nanoTime()

@@ -104,11 +104,12 @@ object GraphGen {
       .agg(array_sort(collect_set(col("kw"))).as("keywords"))
   }
 
-  /** Newman–Watts–Strogatz small-world graph (paper §VIII-A): a ring of n
-    * vertices, each connected to its `m` nearest ring neighbours (m/2 per
-    * side); then for each ring edge, with probability μ, an extra shortcut
-    * edge from its source to a random vertex is *added* (NWS adds rather
-    * than rewires, keeping the ring — hence connectivity — intact).
+  /** Newman–Watts–Strogatz small-world graph (paper §VIII-A, m = 6,
+    * μ = 0.167): a ring of n vertices, each connected to its m nearest ring
+    * neighbours (m/2 per side); then for each ring edge, with probability μ,
+    * an extra shortcut edge from its source to a random vertex is *added*
+    * (NWS adds rather than rewires, keeping the ring — hence connectivity —
+    * intact).
     */
   def nws(
       spark: SparkSession,
@@ -116,18 +117,15 @@ object GraphGen {
       dist: KwDist = KwDist.Uniform,
       kwPerVertex: Int = 3,
       sigma: Int = 20,
-      m: Int = 6,
-      mu: Double = 0.167,
       seed: Long = 42L): GraphFrames = {
-    require(m % 2 == 0 && m >= 2, "NWS m must be even")
-    require(n > m, s"need n > m, got n=$n m=$m")
-    val half = m / 2
+    require(n > 6, s"need n > m = 6, got n=$n")
+    val half = 3
     val ring = spark.range(n).select(
       col("id").as("u"),
       explode(sequence(lit(1), lit(half))).as("d"))
     val ringEdges = ring.select(col("u").as("srcU"), ((col("u") + col("d")) % n).as("dstU"), col("d"))
     val shortcuts = ringEdges
-      .where(u01(seed, "scp", col("srcU"), col("d")) < mu)
+      .where(u01(seed, "scp", col("srcU"), col("d")) < 0.167)
       .select(col("srcU"), floor(u01(seed, "scw", col("srcU"), col("d")) * n).as("dstU"))
     val edges = directedWeighted(canonical(ringEdges.select("srcU", "dstU").union(shortcuts)), seed)
     GraphFrames(keywordVertices(spark, n, dist, kwPerVertex, sigma, seed), edges)
@@ -146,9 +144,6 @@ object GraphGen {
       minSize: Int,
       maxSize: Int,
       window: Int,
-      dist: KwDist,
-      kwPerVertex: Int,
-      sigma: Int,
       seed: Long): GraphFrames = {
     val groups = spark.range(nGroups).select(
       col("id").as("gid"),
@@ -165,30 +160,18 @@ object GraphGen {
       .select("srcU", "dstU")
     val ring = spark.range(n).select(col("id").as("srcU"), ((col("id") + 1) % n).as("dstU"))
     val edges = directedWeighted(canonical(pairs.union(ring)), seed)
-    GraphFrames(keywordVertices(spark, n, dist, kwPerVertex, sigma, seed), edges)
+    GraphFrames(keywordVertices(spark, n, KwDist.Uniform, kwPerVertex = 3, sigma = 20, seed), edges)
   }
 
   /** DBLP-like co-authorship stand-in: triangle-rich overlapping cliques
     * (papers of 2–6 authors), |E| ≈ 3.3·|V| matching DBLP's density.
     */
-  def dblpLike(
-      spark: SparkSession,
-      n: Long,
-      kwPerVertex: Int = 3,
-      sigma: Int = 20,
-      seed: Long = 7L): GraphFrames =
-    cliqueOverlap(spark, n, nGroups = (n * 0.45).toLong, minSize = 2, maxSize = 6,
-      window = 25, KwDist.Uniform, kwPerVertex, sigma, seed)
+  def dblpLike(spark: SparkSession, n: Long, seed: Long = 7L): GraphFrames =
+    cliqueOverlap(spark, n, nGroups = (n * 0.45).toLong, minSize = 2, maxSize = 6, window = 25, seed)
 
   /** Amazon-like co-purchase stand-in: sparser, smaller cliques (baskets of
     * 2–4 products), |E| ≈ 2.8·|V| matching Amazon's density.
     */
-  def amazonLike(
-      spark: SparkSession,
-      n: Long,
-      kwPerVertex: Int = 3,
-      sigma: Int = 20,
-      seed: Long = 11L): GraphFrames =
-    cliqueOverlap(spark, n, nGroups = (n * 0.55).toLong, minSize = 2, maxSize = 4,
-      window = 60, KwDist.Uniform, kwPerVertex, sigma, seed)
+  def amazonLike(spark: SparkSession, n: Long, seed: Long = 11L): GraphFrames =
+    cliqueOverlap(spark, n, nGroups = (n * 0.55).toLong, minSize = 2, maxSize = 4, window = 60, seed)
 }

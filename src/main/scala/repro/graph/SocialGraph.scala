@@ -1,6 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import repro.keywords.KeywordBV
 import repro.truss.Truss
 
@@ -126,9 +126,8 @@ object SocialGraph {
       require(!boxed.contains(null), s"vertex row $id has a null keyword")
       keywords(id.toInt) = boxed.map(_.intValue).toArray
     }
-    val eRows = gf.edges.select("src", "dst", "weight").collect()
-    eRows.foreach(r => require(!r.anyNull, s"edge row ${r.mkString("(", ", ", ")")} has a null field"))
-    build(keywords, eRows.map(_.getLong(0)), eRows.map(_.getLong(1)), eRows.map(_.getDouble(2)))
+    val e = collectEdgeRows(gf.edges, "src", "dst", "weight")
+    build(keywords, e.map(_.getLong(0)), e.map(_.getLong(1)), e.map(_.getDouble(2)))
   }
 
   /** Build a small [[GraphData]] directly from edge/keyword lists (tests),
@@ -148,16 +147,26 @@ object SocialGraph {
       rows.map(_._1.toLong), rows.map(_._2.toLong), rows.map(directedWeights.getOrElse(_, w)))
   }
 
-  /** The one CSR builder and the ingest boundary: row j is the directed
-    * edge src(j) → dst(j) with weight(j), and vertex v, 0 ≤ v < n =
-    * keywords.length, has the keyword set keywords(v). Each adjacency row is
-    * sorted by neighbour id, with no boxing: a counting sort by src, then a
-    * primitive sort of (dst << 32 | j) inside each row. Input the sorted-row
-    * truss kernels (a simple symmetric structure) or MIA's best-first
-    * expansion (p in (0, 1]) cannot take is rejected, naming the row.
+  /** The columns `cols` of every edge row, collected to the driver; a row
+    * with a null field is rejected, naming the row.
     */
-  private def build(keywords: Array[Array[Int]], src: Array[Long], dst: Array[Long], weight: Array[Double]): GraphData = {
-    val n = keywords.length
+  def collectEdgeRows(edges: DataFrame, cols: String*): Array[Row] = {
+    val rows = edges.select(cols.head, cols.tail: _*).collect()
+    rows.foreach(r => require(!r.anyNull, s"edge row ${r.mkString("(", ", ", ")")} has a null field"))
+    rows
+  }
+
+  /** The structural half of the ingest boundary, and the one builder of
+    * [[Truss.Rows]] from outside rows: row j is the directed edge
+    * src(j) → dst(j) over vertices 0 … n−1. Each adjacency row is sorted by
+    * neighbour id, with no boxing: a counting sort by src, then a primitive
+    * sort of (dst << 32 | j) inside each row. Input the sorted-row truss
+    * kernels cannot take (not a simple symmetric structure) is rejected,
+    * naming the row.
+    *
+    * @return the rows, and for each slot the input row j it came from
+    */
+  def checkedRows(n: Int, src: Array[Long], dst: Array[Long]): (Truss.Rows, Array[Int]) = {
     src.indices.foreach { j =>
       require(src(j) >= 0 && src(j) < n && dst(j) >= 0 && dst(j) < n,
         s"edge row (${src(j)}, ${dst(j)}) has an end outside 0..n-1, n = $n")
@@ -170,7 +179,6 @@ object SocialGraph {
     src.indices.foreach { j => packed(cursor(src(j).toInt)) = (dst(j) << 32) | j; cursor(src(j).toInt) += 1 }
     (0 until n).foreach(v => java.util.Arrays.sort(packed, offsets(v), offsets(v + 1)))
     val neigh = packed.map(p => (p >>> 32).toInt)
-    val w = packed.map(p => weight(p.toInt))
     (0 until n).foreach { v =>
       (offsets(v) until offsets(v + 1)).foreach { i =>
         val d = neigh(i)
@@ -178,10 +186,23 @@ object SocialGraph {
         require(i == offsets(v) || neigh(i - 1) != d, s"repeated edge row ($v, $d)")
         require(java.util.Arrays.binarySearch(neigh, offsets(d), offsets(d + 1), v) >= 0,
           s"edge row ($v, $d) has no reverse row ($d, $v)")
-        require(w(i) > 0 && w(i) <= 1, s"edge row ($v, $d) has weight ${w(i)} outside (0, 1]")
       }
     }
+    (Truss.Rows(offsets, neigh), packed.map(_.toInt))
+  }
+
+  /** The one [[GraphData]] builder: [[checkedRows]] of the edge rows, with
+    * weight(j) on row j's slot and keywords(v) the keyword set of vertex v,
+    * 0 ≤ v < n = keywords.length. A weight MIA's best-first expansion cannot
+    * take (outside (0, 1]) is rejected, naming the row.
+    */
+  private def build(keywords: Array[Array[Int]], src: Array[Long], dst: Array[Long], weight: Array[Double]): GraphData = {
+    val (rows, order) = checkedRows(keywords.length, src, dst)
+    val w = order.map(weight)
+    rows.foreachSlot { (v, i) =>
+      require(w(i) > 0 && w(i) <= 1, s"edge row ($v, ${rows.neigh(i)}) has weight ${w(i)} outside (0, 1]")
+    }
     val kw = keywords.map(_.sorted)
-    GraphData(n, offsets, neigh, w, kw, kw.map(KeywordBV.hashSet(_)))
+    GraphData(keywords.length, rows.offsets, rows.neigh, w, kw, kw.map(KeywordBV.hashSet(_)))
   }
 }

@@ -2,7 +2,7 @@ package repro.index
 
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import repro.graph.GraphData
+import repro.graph.{GraphData, SocialGraph}
 import repro.index.TreeIndex.{Agg, VertexRef}
 import repro.influence.MIA
 import repro.truss.Truss
@@ -42,12 +42,14 @@ object Precompute {
     */
   def incidentMaxSupport(g: GraphData): Array[Int] = incident(g.rows)
 
-  /** [[incidentMaxSupport]] of every (src, dst) row of `edges`, symmetrised,
-    * deduplicated and without self loops; `spark` is unused.
+  /** [[incidentMaxSupport]] of the (src, dst) rows of `edges`, collected
+    * and checked as `SocialGraph.toGraphData` does: a null end, an end
+    * outside 0..n-1, a self loop, a repeated row or a missing reverse is
+    * rejected, naming the row. `spark` is unused.
     */
   def incidentMaxSupportArray(spark: SparkSession, edges: DataFrame, n: Int): Array[Int] = {
-    val pairs = edges.select("src", "dst").collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
-    incident(Truss.Rows.of(n, pairs))
+    val e = SocialGraph.collectEdgeRows(edges, "src", "dst")
+    incident(SocialGraph.checkedRows(n, e.map(_.getLong(0)), e.map(_.getLong(1)))._1)
   }
 
   private def incident(rows: Truss.Rows): Array[Int] = rows.rowMax(Truss.supports(rows, rows.allAlive))

@@ -14,9 +14,6 @@ package repro.keywords
   */
 object KeywordBV {
 
-  /** Number of bits in a bit vector (paper's B). */
-  val B: Int = 64
-
   /** Hash one keyword to a bit position in [0, B). Keywords are modelled
     * as small integers drawn from the domain Σ = {0, …, |Σ|−1}; a
     * multiplicative mix keeps adjacent keywords off adjacent bits.

@@ -14,7 +14,8 @@ package repro.truss
 object Truss {
 
   /** Symmetric adjacency rows over vertices 0 … n−1, without self loops:
-    * row v is `neigh(offsets(v) until offsets(v + 1))`, ascending.
+    * row v is `neigh(offsets(v) until offsets(v + 1))`, ascending. Built
+    * from outside edge rows only by the ingest check, `SocialGraph.checkedRows`.
     */
   final case class Rows(offsets: Array[Int], neigh: Array[Int]) {
     def n: Int = offsets.length - 1
@@ -44,23 +45,6 @@ object Truss {
     /** Per vertex, the max of `vals` over its row (0 for an empty row). */
     def rowMax(vals: Array[Int]): Array[Int] =
       Array.tabulate(n)(v => (offsets(v) until offsets(v + 1)).foldLeft(0)((m, i) => m max vals(i)))
-  }
-
-  object Rows {
-
-    /** Rows of an undirected edge list on n vertices: symmetrised,
-      * deduplicated, self loops dropped.
-      */
-    def of(n: Int, pairs: Iterable[(Int, Int)]): Rows = {
-      val packed = pairs.iterator.filter(p => p._1 != p._2)
-        .flatMap { case (u, v) => Iterator((u.toLong << 32) | v, (v.toLong << 32) | u) }.toArray.sorted
-      var m = 0 // packed(0 until m): the distinct prefix
-      packed.foreach(e => if (m == 0 || packed(m - 1) != e) { packed(m) = e; m += 1 })
-      val offsets = new Array[Int](n + 1)
-      (0 until m).foreach(j => offsets((packed(j) >>> 32).toInt + 1) += 1)
-      (0 until n).foreach(v => offsets(v + 1) += offsets(v))
-      Rows(offsets, Array.tabulate(m)(packed(_).toInt))
-    }
   }
 
   /** Calls f(a, b) for every w adjacent to both ends of slot i (u → v)

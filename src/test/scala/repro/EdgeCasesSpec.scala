@@ -13,14 +13,14 @@ class EdgeCasesSpec extends AnyFunSuite {
   private val grid = Precompute.DefaultThetaGrid
 
   test("truss: supports/peel/trussness on an edgeless graph") {
-    val rows = Truss.Rows.of(4, Nil)
+    val rows = SocialGraph.fromEdges(4, Nil).rows
     assert(Truss.supports(rows, rows.allAlive).isEmpty)
     Truss.kTrussPeel(rows, rows.allAlive, 4)
     assert(Truss.trussness(rows, rows.allAlive).isEmpty)
   }
 
   test("truss: single edge has support 0, trussness 2") {
-    val rows = Truss.Rows.of(2, Seq((0, 1)))
+    val rows = SocialGraph.fromEdges(2, Seq((0, 1))).rows
     assert(Truss.supports(rows, rows.allAlive).toSeq == Seq(0, 0))
     assert(Truss.trussness(rows, rows.allAlive).toSeq == Seq(2, 2))
   }

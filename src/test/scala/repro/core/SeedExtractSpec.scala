@@ -91,7 +91,7 @@ class SeedExtractSpec extends AnyFunSuite with MiniChecks {
             // every community edge is a real graph edge
             assert(g.neighborsOf(u).contains(v), s"phantom edge ($u,$v)")
           }
-          val rows = Truss.Rows.of(members.length, edges.map { case (u, v) => (local(u), local(v)) })
+          val rows = SocialGraph.fromEdges(members.length, edges.map { case (u, v) => (local(u), local(v)) }).rows
           assert(TestGraphs.isKTruss(TestGraphs.adjOf(rows, rows.allAlive), k), s"k-truss constraint, k=$k")
           val d = Truss.bfsDist(rows, rows.allAlive, local(c))
           d.foreach(x => assert(x <= r, s"radius constraint r=$r"))

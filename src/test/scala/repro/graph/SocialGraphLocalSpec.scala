@@ -19,16 +19,19 @@ class SocialGraphLocalSpec extends AnyFunSuite with MiniChecks {
   }
 
   test("fromEdges rejects bad rows, naming the row") {
-    def rejects(g: => GraphData, what: String, row: String): Unit = {
+    def rejects(g: => Any, what: String, row: String): Unit = {
       val m = intercept[IllegalArgumentException](g).getMessage
       assert(m.contains(what) && m.contains(row), m)
     }
     rejects(SocialGraph.fromEdges(2, Seq((1, 1))), "self loop", "(1, 1)")
     rejects(SocialGraph.fromEdges(3, Seq((0, 1), (1, 2), (0, 1))), "repeated", "(0, 1)")
+    rejects(SocialGraph.fromEdges(3, Seq((0, 1), (1, 0))), "repeated", "(0, 1)") // one pair, both ways
+    rejects(SocialGraph.checkedRows(3, Array(0L, 1L, 2L), Array(1L, 0L, 1L)), "no reverse row (1, 2)", "(2, 1)")
     Seq(0.0, 1.5).foreach { w =>
       rejects(SocialGraph.fromEdges(3, Seq((0, 1), (1, 2)), directedWeights = Map((2, 1) -> w)), "outside (0, 1]", "(2, 1)")
     }
     rejects(SocialGraph.fromEdges(3, Seq((0, 1), (1, 3))), "outside 0..n-1", "(1, 3)")
+    rejects(SocialGraph.fromEdges(3, Seq((0, 1), (1, -1))), "outside 0..n-1", "(1, -1)")
   }
 
   test("degree and neighborsOf are consistent") {

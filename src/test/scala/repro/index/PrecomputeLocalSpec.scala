@@ -3,6 +3,7 @@ package repro.index
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.SeedExtract
+import repro.graph.SocialGraph
 import repro.influence.MIA
 import repro.keywords.KeywordBV
 import repro.truss.Truss
@@ -63,7 +64,7 @@ class PrecomputeLocalSpec extends AnyFunSuite with MiniChecks {
             val members = community.vertices
             val local = members.zipWithIndex.toMap
             val edges = TestGraphs.seedEdges(g, members, 3)
-            val rows = Truss.Rows.of(members.length, edges.map { case (u, w) => (local(u), local(w)) })
+            val rows = SocialGraph.fromEdges(members.length, edges.map { case (u, w) => (local(u), local(w)) }).rows
             Truss.supports(rows, rows.allAlive).foreach(s => assert(s <= agg.ubSup(r - 1)))
           }
         }

@@ -8,8 +8,8 @@ import repro.truss.Support
 
 /** The distributed offline phase (Spark mapPartitions over broadcast
   * graph) must equal the driver-local per-vertex computation, and both
-  * local incident-support arrays (over the CSR rows, and over raw edge
-  * rows) must equal the one from the Spark triangle join.
+  * local incident-support arrays (over the CSR rows, and over checked raw
+  * edge rows) must equal the one from the Spark triangle join.
   */
 class PrecomputeSparkSpec extends SparkSpec {
 
@@ -31,13 +31,25 @@ class PrecomputeSparkSpec extends SparkSpec {
     assert(local.toSeq == joinIncSup(gf.edges, gd.n))
     // the build's own path: supports over the collected CSR's rows
     assert(Precompute.incidentMaxSupport(gd).toSeq == joinIncSup(gf.edges, gd.n))
-    // raw rows: (0,1) twice and once as (1,0), a (3,3) self loop, and
-    // (1,2), (2,0), (2,3) each stated in one direction only
+    // raw rows go through the ingest check: the triangle {0, 1, 2} and the
+    // edge (2, 3), one row per direction, on 5 vertices, are accepted ...
     import spark.implicits._
-    val raw = Seq((0L, 1L), (1L, 0L), (0L, 1L), (1L, 2L), (2L, 0L), (2L, 3L), (3L, 3L)).toDF("src", "dst")
-    val rawLocal = Precompute.incidentMaxSupportArray(spark, raw, 5)
-    assert(rawLocal.toSeq == joinIncSup(raw, 5))
-    assert(rawLocal.toSeq == Seq(1, 1, 1, 0, 0))
+    val raw = Seq((0L, 1L), (1L, 2L), (2L, 0L), (2L, 3L)).flatMap { case (u, v) => Seq((u, v), (v, u)) }.toDF("src", "dst")
+    assert(Precompute.incidentMaxSupportArray(spark, raw, 5).toSeq == Seq(1, 1, 1, 0, 0))
+    assert(joinIncSup(raw, 5) == Seq(1, 1, 1, 0, 0))
+    // ... and each bad row after the pair (0, 1), (1, 0) on 3 vertices is
+    // rejected, naming the row
+    def rejects(bad: (Option[Long], Option[Long]), what: String, row: String): Unit = {
+      val rows = Seq((Option(0L), Option(1L)), (Option(1L), Option(0L)), bad).toDF("src", "dst")
+      val m = intercept[IllegalArgumentException](Precompute.incidentMaxSupportArray(spark, rows, 3)).getMessage
+      assert(m.contains(what) && m.contains(row), m)
+    }
+    rejects((Some(0L), Some(-1L)), "outside 0..n-1", "(0, -1)")
+    rejects((Some(0L), Some(3L)), "outside 0..n-1", "(0, 3)")
+    rejects((Some(2L), None), "null field", "(2, null)")
+    rejects((Some(2L), Some(2L)), "self loop", "(2, 2)")
+    rejects((Some(0L), Some(1L)), "repeated", "(0, 1)")
+    rejects((Some(1L), Some(2L)), "no reverse row (2, 1)", "(1, 2)")
   }
 
   test("distributed run equals local per-vertex aggregates (all radii, all θ_z)") {

@@ -2,6 +2,7 @@ package repro.truss
 
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
+import repro.graph.SocialGraph
 import repro.{MiniChecks, TestGraphs}
 
 import scala.util.Random
@@ -34,7 +35,7 @@ class KCoreSpec extends AnyFunSuite with MiniChecks {
 
   private def randomRows(n: Int, seed: Int): Truss.Rows = {
     val rnd = new Random(seed.toLong)
-    Truss.Rows.of(n, for { u <- 0 until n; v <- (u + 1) until n if rnd.nextDouble() < 0.4 } yield (u, v))
+    SocialGraph.fromEdges(n, for { u <- 0 until n; v <- (u + 1) until n if rnd.nextDouble() < 0.4 } yield (u, v)).rows
   }
 
   test("K5 is a 4-core, not a 5-core") {

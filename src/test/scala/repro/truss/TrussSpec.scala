@@ -2,6 +2,7 @@ package repro.truss
 
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
+import repro.graph.SocialGraph
 import repro.{MiniChecks, TestGraphs}
 
 import scala.util.Random
@@ -16,7 +17,7 @@ class TrussSpec extends AnyFunSuite with MiniChecks {
     for { u <- 0 until n; v <- (u + 1) until n if rnd.nextDouble() < p } yield (u, v)
   }
 
-  private def randomRows(n: Int, p: Double, seed: Long): Truss.Rows = Truss.Rows.of(n, randomEdges(n, p, seed))
+  private def randomRows(n: Int, p: Double, seed: Long): Truss.Rows = SocialGraph.fromEdges(n, randomEdges(n, p, seed)).rows
 
   /** The alive edges of `rows` after a k-truss peel. */
   private def peeled(rows: Truss.Rows, k: Int): Set[(Int, Int)] = {
@@ -130,7 +131,7 @@ class TrussSpec extends AnyFunSuite with MiniChecks {
   }
 
   test("bfsDist reachability on a disconnected graph") {
-    val rows = Truss.Rows.of(6, Seq((0, 1), (1, 2), (3, 4)))
+    val rows = SocialGraph.fromEdges(6, Seq((0, 1), (1, 2), (3, 4))).rows
     def reach(s: Int) = { val d = Truss.bfsDist(rows, rows.allAlive, s); d.indices.filter(d(_) < Int.MaxValue).toSet }
     assert(reach(0) == Set(0, 1, 2))
     assert(reach(3) == Set(3, 4))
@@ -138,21 +139,23 @@ class TrussSpec extends AnyFunSuite with MiniChecks {
   }
 
   test("bfsDist on a path graph") {
-    val rows = Truss.Rows.of(5, Seq((0, 1), (1, 2), (2, 3), (3, 4)))
+    val rows = SocialGraph.fromEdges(5, Seq((0, 1), (1, 2), (2, 3), (3, 4))).rows
     assert(Truss.bfsDist(rows, rows.allAlive, 0).toSeq == Seq(0, 1, 2, 3, 4))
   }
 
   test("bfsDist marks unreachable as MaxValue") {
-    val rows = Truss.Rows.of(4, Seq((0, 1)))
+    val rows = SocialGraph.fromEdges(4, Seq((0, 1))).rows
     val d = Truss.bfsDist(rows, rows.allAlive, 0)
     assert(d(2) == Int.MaxValue && d(3) == Int.MaxValue)
   }
 
-  test("Rows.of drops self loops and duplicates, and is symmetric and sorted") {
-    val rows = Truss.Rows.of(3, Seq((0, 0), (1, 0), (0, 1), (0, 1), (2, 1)))
+  test("checkedRows sorts each row, with the right rev and input order") {
+    // rows j = 0..3: (2, 1), (1, 0), (0, 1), (1, 2)
+    val (rows, order) = SocialGraph.checkedRows(3, Array(2L, 1L, 0L, 1L), Array(1L, 0L, 1L, 2L))
     assert(rows.offsets.toSeq == Seq(0, 1, 3, 4))
     assert(rows.neigh.toSeq == Seq(1, 0, 2, 1))
     assert(rows.rev.toSeq == Seq(1, 0, 3, 2))
+    assert(order.toSeq == Seq(2, 1, 3, 0))
   }
 
   test("supports match brute-force common-neighbour counts") {
