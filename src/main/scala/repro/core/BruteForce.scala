@@ -34,13 +34,14 @@ object BruteForce {
 
   /** Exact top-L: collect candidates and rank them through
     * [[Community.Best]] in center order, so a community induced by several
-    * centers (the same vertex set) reports its smallest center. Candidates
-    * are offered with an empty cpp; only the L answers are rescored for it.
+    * centers (the same vertex set) reports its smallest center. An answer
+    * expands its g^Inf on the driver's graph when read.
     */
   def topL(spark: SparkSession, bcG: Broadcast[GraphData], q: Query): Seq[Community] = {
+    val g = bcG.value
     val best = new Community.Best(q.L)
     candidates(spark, bcG, q).collect().sortBy(_.center)
-      .foreach(c => best.offer(Community(c.center, c.vertices, c.sigma, MIA.Cpp.Empty)))
-    best.answers.map(c => Community.scored(bcG.value, c.center, c.vertices, q.theta))
+      .foreach(c => best.offer(Community(c.center, c.vertices, c.sigma, Community.influenced(g, c.vertices, q.theta))))
+    best.answers
   }
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.influence.MIA.Cpp
+
 import scala.collection.mutable
 
 /** DTopL-ICDE (paper §VII): pick a set S of L seed communities maximizing
@@ -16,7 +18,9 @@ import scala.collection.mutable
   *  - [[optimal]]   — exhaustive search over all C(|T|, L) subsets.
   *
   * The coverage of S is a dense `Array[Double]` over vertex ids, read and
-  * raised through each candidate's [[repro.influence.MIA.Cpp]] arrays.
+  * raised through each candidate's [[repro.influence.MIA.Cpp]] arrays. A
+  * selector reads each candidate's `cpp` once: an answer expands it again
+  * on each read.
   */
 object DTopL {
 
@@ -27,17 +31,20 @@ object DTopL {
       incrementEvals: Long)
 
   /** D(S) of Eq. (6), from the candidates' (θ-thresholded) cpp arrays. */
-  def diversity(sel: Iterable[Community]): Double = diversity(coverFor(sel), sel)
+  def diversity(sel: Iterable[Community]): Double = {
+    val cpps = sel.map(_.cpp)
+    diversity(coverFor(cpps), cpps)
+  }
 
   /** D(S) on a zeroed dense cover, which is zeroed again on return. The
     * sum runs over the communities' cpp ids in order, each vertex counted
     * at its first occurrence (then cleared, so later ones add 0).
     */
-  private def diversity(cover: Array[Double], sel: Iterable[Community]): Double = {
+  private def diversity(cover: Array[Double], sel: Iterable[Cpp]): Double = {
     sel.foreach(absorb(cover, _))
     var s = 0.0
-    sel.foreach { g =>
-      val ids = g.cpp.ids
+    sel.foreach { cpp =>
+      val ids = cpp.ids
       var i = 0
       while (i < ids.length) { s += cover(ids(i)); cover(ids(i)) = 0.0; i += 1 }
     }
@@ -45,11 +52,11 @@ object DTopL {
   }
 
   /** A zeroed dense cover, cover(v) = max cpp of v over the absorbed
-    * communities, indexed by every vertex id in `cands`.
+    * communities, indexed by every vertex id in `cpps`.
     */
-  private def coverFor(cands: Iterable[Community]): Array[Double] = {
+  private def coverFor(cpps: Iterable[Cpp]): Array[Double] = {
     var n = 0
-    cands.foreach(_.cpp.ids.foreach(v => if (v >= n) n = v + 1))
+    cpps.foreach(_.ids.foreach(v => if (v >= n) n = v + 1))
     new Array[Double](n)
   }
 
@@ -57,9 +64,9 @@ object DTopL {
     * stale value (computed against a subset of S) is ≥ the current one in
     * floating point too: each term max(0, p − c) only shrinks as c grows.
     */
-  private def increment(cover: Array[Double], g: Community): Double = {
-    val ids = g.cpp.ids
-    val probs = g.cpp.probs
+  private def increment(cover: Array[Double], g: Cpp): Double = {
+    val ids = g.ids
+    val probs = g.probs
     var d = 0.0
     var i = 0
     while (i < ids.length) {
@@ -70,9 +77,9 @@ object DTopL {
     d
   }
 
-  private def absorb(cover: Array[Double], g: Community): Unit = {
-    val ids = g.cpp.ids
-    val probs = g.cpp.probs
+  private def absorb(cover: Array[Double], g: Cpp): Unit = {
+    val ids = g.ids
+    val probs = g.probs
     var i = 0
     while (i < ids.length) {
       if (probs(i) > cover(ids(i))) cover(ids(i)) = probs(i)
@@ -91,11 +98,14 @@ object DTopL {
     * other true ΔD (each is ≤ its stale bound), and a tie goes to the
     * smallest index in both.
     */
-  def greedyWP(cands: IndexedSeq[Community], l: Int): DResult = {
+  def greedyWP(cands: IndexedSeq[Community], l: Int): DResult = greedyWP(cands, cands.map(_.cpp), l)
+
+  /** [[greedyWP]] over candidates whose g^Inf arrays are `cpps`, in order. */
+  private[core] def greedyWP(cands: IndexedSeq[Community], cpps: IndexedSeq[Cpp], l: Int): DResult = {
     val L = math.min(l, cands.length)
     var evals = 0L
-    val cover = coverFor(cands)
-    val selected = mutable.ArrayBuffer[Community]()
+    val cover = coverFor(cpps)
+    val selected = mutable.ArrayBuffer[Int]()
     // heap entries: (upper bound on ΔD, candidate index); g.round per index
     val heap = mutable.PriorityQueue[(Double, Int)]()(ByBound)
     val lastRound = Array.fill(cands.length)(0)
@@ -105,40 +115,47 @@ object DTopL {
       val (_, i) = heap.dequeue()
       if (lastRound(i) == round) {
         // bound is exact for the current S ⇒ i maximizes ΔD (Lemma 9)
-        selected += cands(i)
-        absorb(cover, cands(i))
+        selected += i
+        absorb(cover, cpps(i))
         round += 1
       } else {
         evals += 1
         lastRound(i) = round
-        heap.enqueue((increment(cover, cands(i)), i))
+        heap.enqueue((increment(cover, cpps(i)), i))
       }
     }
-    DResult(selected.toSeq, diversity(selected), evals)
+    result(cands, cpps, selected, evals)
+  }
+
+  /** The candidates at `selected`, with D of their cpp arrays. */
+  private def result(cands: IndexedSeq[Community], cpps: IndexedSeq[Cpp], selected: Iterable[Int], evals: Long): DResult = {
+    val sel = selected.map(cpps)
+    DResult(selected.map(cands).toSeq, diversity(coverFor(sel), sel), evals)
   }
 
   /** Greedy without pruning: recompute every candidate's ΔD each round. */
   def greedyWoP(cands: IndexedSeq[Community], l: Int): DResult = {
     val L = math.min(l, cands.length)
     var evals = 0L
-    val cover = coverFor(cands)
+    val cpps = cands.map(_.cpp)
+    val cover = coverFor(cpps)
     val remaining = mutable.ArrayBuffer[Int](cands.indices: _*)
-    val selected = mutable.ArrayBuffer[Community]()
+    val selected = mutable.ArrayBuffer[Int]()
     while (selected.length < L && remaining.nonEmpty) {
       var bestI = -1; var bestD = Double.NegativeInfinity; var bestPos = -1
       remaining.indices.foreach { pos =>
         val i = remaining(pos)
         evals += 1
-        val d = increment(cover, cands(i))
+        val d = increment(cover, cpps(i))
         if (d > bestD || (d == bestD && (bestI < 0 || i < bestI))) {
           bestD = d; bestI = i; bestPos = pos
         }
       }
-      selected += cands(bestI)
-      absorb(cover, cands(bestI))
+      selected += bestI
+      absorb(cover, cpps(bestI))
       remaining.remove(bestPos)
     }
-    DResult(selected.toSeq, diversity(selected), evals)
+    result(cands, cpps, selected, evals)
   }
 
   /** Exhaustive optimum over all C(|T|, L) subsets (only feasible for the
@@ -149,12 +166,12 @@ object DTopL {
     var evals = 0L
     var bestScore = Double.NegativeInfinity
     var best: Seq[Community] = Seq.empty
-    val cover = coverFor(cands)
+    val cpps = cands.map(_.cpp)
+    val cover = coverFor(cpps)
     cands.indices.combinations(L).foreach { idx =>
       evals += 1
-      val s = idx.map(cands)
-      val d = diversity(cover, s)
-      if (d > bestScore) { bestScore = d; best = s.toSeq }
+      val d = diversity(cover, idx.map(cpps))
+      if (d > bestScore) { bestScore = d; best = idx.map(cands) }
     }
     DResult(best, bestScore, evals)
   }

@@ -24,13 +24,14 @@ object Pipeline {
       TopLICDE.run(g, index, thetaGrid, q, pruning)
 
     /** Answer one DTopL-ICDE query (Alg. 4): top-(nL) via Alg. 3, then
-      * lazy-greedy selection.
+      * lazy-greedy selection, on the g^Inf arrays that scored the top-(nL).
+      * The same as `DTopL.greedyWP(topL(q.copy(L = n * q.L)).communities, L)`.
       */
     def dTopL(q: Query, n: Int): DTopL.DResult = {
       require(n >= 1, s"n = $n, must be >= 1")
       require(n.toLong * q.L <= Int.MaxValue, s"n = $n times L = ${q.L} does not fit an Int")
-      val cands = topL(q.copy(L = n * q.L)).communities.toIndexedSeq
-      DTopL.greedyWP(cands, q.L)
+      val (res, cpps) = TopLICDE.search(g, index, thetaGrid, q.copy(L = n * q.L), Pruning.KeywordTruss, keep = true)
+      DTopL.greedyWP(res.communities.toIndexedSeq, cpps, q.L)
     }
   }
 

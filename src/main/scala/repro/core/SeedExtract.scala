@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.GraphData
+import repro.graph.{GraphData, Workspace}
 import repro.truss.Truss
 
 /** Extraction of the seed community of a candidate center (paper Def. 2,
@@ -23,6 +23,11 @@ import repro.truss.Truss
   * community is a group, not an isolated user; for k ≤ 2 (vacuous truss
   * constraint) the community is the keyword-satisfying connected
   * component of radius r around the center.
+  *
+  * Two balls feed the same fixpoint: the keyword-filtered ball of G
+  * ([[extract]], the paper's Alg. 3, both baselines and the benchmark's
+  * replay) and the much smaller r-ball in the query's keyword truss K_Q
+  * ([[extractInTruss]], Alg. 3's `KeywordTruss` rung).
   */
 object SeedExtract {
 
@@ -51,10 +56,67 @@ object SeedExtract {
     (global, Truss.Rows(offsets, neigh.result()))
   }
 
+  /** The r-ball of `center` in the keyword truss K_Q, given as its `alive`
+    * mask over G's slots ([[TopLICDE.keywordTruss]]): the vertices within r
+    * of `center` over K_Q's edges, found on this thread's [[Workspace]] and
+    * sorted, and their sorted rows over the K_Q edges between them (local id
+    * j is global vertex j of the returned array).
+    */
+  def trussBall(g: GraphData, kQ: Array[Boolean], center: Int, r: Int): (Array[Int], Truss.Rows) = {
+    val ws = Workspace.of(g.n)
+    val e = ws.nextEpoch()
+    val global = java.util.Arrays.copyOf(ws.outIds, g.ball(ws, e, center, r, kQ))
+    java.util.Arrays.sort(global)
+    var j = 0
+    while (j < global.length) { ws.local(global(j)) = j; j += 1 }
+    // a K_Q slot between two ball vertices: g's row is sorted and local ids
+    // follow the global order, so each local row comes out sorted
+    def inBall(i: Int): Boolean = kQ(i) && ws.stamp(g.neigh(i)) == e
+    val offsets = new Array[Int](global.length + 1)
+    j = 0
+    while (j < global.length) {
+      var c = 0
+      var i = g.offsets(global(j))
+      while (i < g.offsets(global(j) + 1)) { if (inBall(i)) c += 1; i += 1 }
+      offsets(j + 1) = offsets(j) + c
+      j += 1
+    }
+    val neigh = new Array[Int](offsets(global.length))
+    var s = 0
+    j = 0
+    while (j < global.length) {
+      var i = g.offsets(global(j))
+      while (i < g.offsets(global(j) + 1)) { if (inBall(i)) { neigh(s) = ws.local(g.neigh(i)); s += 1 }; i += 1 }
+      j += 1
+    }
+    (global, Truss.Rows(offsets, neigh))
+  }
+
   /** @return the seed community of `center`, or None if none exists. */
-  def extract(g: GraphData, center: Int, r: Int, k: Int, query: Array[Int]): Option[Seed] = {
-    if (!g.matchesQuery(center, query)) return None
-    val (global, rows) = filteredBall(g, center, r, query)
+  def extract(g: GraphData, center: Int, r: Int, k: Int, query: Array[Int]): Option[Seed] =
+    if (!g.matchesQuery(center, query)) None
+    else {
+      val (global, rows) = filteredBall(g, center, r, query)
+      fixpoint(global, rows, center, r, k)
+    }
+
+  /** [[extract]], started from the center's K_Q ball ([[trussBall]]) instead
+    * of its keyword-filtered ball; `kQ` is the K_Q of `query` at `k`. The
+    * seed is the same (DESIGN "Keyword truss K_Q"): its edges lie in K_Q and
+    * its members within r of the center over them, so the K_Q ball holds
+    * it, and the fixpoint from any ball that holds the seed reaches it.
+    */
+  def extractInTruss(g: GraphData, kQ: Array[Boolean], center: Int, r: Int, k: Int, query: Array[Int]): Option[Seed] =
+    if (!g.matchesQuery(center, query)) None
+    else {
+      val (global, rows) = trussBall(g, kQ, center, r)
+      fixpoint(global, rows, center, r, k)
+    }
+
+  /** Peel ⇄ radius to the fixpoint on a ball of `center` (sorted members
+    * `global`, their `rows`) that holds its seed community.
+    */
+  private def fixpoint(global: Array[Int], rows: Truss.Rows, center: Int, r: Int, k: Int): Option[Seed] = {
     val c = java.util.Arrays.binarySearch(global, center)
     val alive = rows.allAlive
     var changed = true

@@ -24,15 +24,21 @@ final case class Query(
 }
 
 /** A seed community answer: its center (where it was found, not part of
-  * its identity), sorted member vertices, influential score σ(g), and its
-  * influenced community g^Inf as MIA's id/cpp arrays (for DTopL-ICDE
-  * diversity); `sigma` is `cpp.sigma` for every scored community.
+  * its identity), sorted member vertices and influential score σ(g).
+  * `influenced` gives its influenced community g^Inf as MIA's id/cpp arrays
+  * (for DTopL-ICDE diversity), and `sigma` is their σ. An answer does not
+  * hold those arrays: [[Community.influenced]] expands them again on each
+  * read (DESIGN "Answers recompute g^Inf").
   */
 final case class Community(
     center: Int,
     vertices: Array[Int],
     sigma: Double,
-    cpp: MIA.Cpp) {
+    influenced: () => MIA.Cpp) {
+
+  /** g^Inf, from `influenced`. */
+  def cpp: MIA.Cpp = influenced()
+
   override def toString: String =
     f"Community(center=$center, |V|=${vertices.length}, σ=$sigma%.3f)"
 }
@@ -63,18 +69,29 @@ object Community {
     def answers: Seq[Community] = kept.toSeq
   }
 
-  /** Score a seed community: MIA expansion of `vertices` to g^Inf. */
-  def scored(g: GraphData, center: Int, vertices: Array[Int], theta: Double): Community = {
-    val cpp = MIA.influencedCpp(g, vertices, theta)
-    Community(center, vertices, cpp.sigma, cpp)
-  }
+  /** g^Inf of `vertices` at θ, expanded afresh on each call. MIA is
+    * deterministic, so every call returns the same arrays, bit for bit.
+    */
+  def influenced(g: GraphData, vertices: Array[Int], theta: Double): () => MIA.Cpp =
+    () => MIA.influencedCpp(g, vertices, theta)
+
+  /** A seed community scored by the MIA expansion `cpp` of its `vertices`
+    * at θ, which it does not keep.
+    */
+  def scored(g: GraphData, center: Int, vertices: Array[Int], theta: Double, cpp: MIA.Cpp): Community =
+    Community(center, vertices, cpp.sigma, influenced(g, vertices, theta))
+
+  /** Score a seed community: one MIA expansion of `vertices` to g^Inf. */
+  def scored(g: GraphData, center: Int, vertices: Array[Int], theta: Double): Community =
+    scored(g, center, vertices, theta, MIA.influencedCpp(g, vertices, theta))
 }
 
 /** Alg. 3's pruning: one rung of the Fig. 4 ladder, which runs the rung
   * below's strategies plus one. Keyword, support and score pruning are the
   * paper's (Lemmas 1/5, 2/6, 4/7), so `Score` is the paper's Alg. 3;
   * `KeywordTruss` adds the K_Q gate ([[TopLICDE.keywordTruss]]), which the
-  * paper does not have. `label` names the rung's Fig. 4 row.
+  * paper does not have, and extracts each seed from the center's K_Q ball
+  * ([[SeedExtract.extractInTruss]]). `label` names the rung's Fig. 4 row.
   */
 sealed abstract class Pruning(private val rank: Int, val label: String) extends Ordered[Pruning] {
   def compare(that: Pruning): Int = Integer.compare(rank, that.rank)
@@ -119,7 +136,8 @@ final case class TopLResult(communities: Seq[Community], stats: PruneStats)
   * Support pruning uses the *safe* form `ub_sup < k−2` (the paper's
   * printed `< k` can prune true answers; see DESIGN.md). A center that
   * passes every test is refined only if its row holds an edge of the
-  * keyword truss K_Q ([[keywordTruss]]).
+  * keyword truss K_Q ([[keywordTruss]]), and its seed is extracted from
+  * its r-ball in K_Q.
   */
 object TopLICDE {
 
@@ -157,13 +175,27 @@ object TopLICDE {
       index: Node,
       thetaGrid: Array[Double],
       q: Query,
-      pruning: Pruning = Pruning.KeywordTruss): TopLResult = {
+      pruning: Pruning = Pruning.KeywordTruss): TopLResult =
+    search(g, index, thetaGrid, q, pruning, keep = false)._1
+
+  /** [[run]], and with `keep` the g^Inf arrays of its answers, in answer
+    * order: the expansions that scored them, handed to the DTopL greedy so
+    * that it does not expand them again (empty without `keep`).
+    */
+  private[core] def search(
+      g: GraphData,
+      index: Node,
+      thetaGrid: Array[Double],
+      q: Query,
+      pruning: Pruning,
+      keep: Boolean): (TopLResult, IndexedSeq[MIA.Cpp]) = {
     val stats = new PruneStats
     val ri = q.r - 1
     require(q.r <= index.agg.rMax, s"index built for r_max=${index.agg.rMax}, query r=${q.r}")
     val zi = thetaZIndex(thetaGrid, q.theta)
     val best = new Community.Best(q.L)
     val seen = mutable.HashSet[immutable.ArraySeq[Int]]()
+    val held = mutable.HashMap[immutable.ArraySeq[Int], MIA.Cpp]()
 
     def ubSigma(agg: TreeIndex.Agg): Double =
       if (zi >= 0) agg.sigmas(ri)(zi) else Double.PositiveInfinity
@@ -186,8 +218,8 @@ object TopLICDE {
       } else false
     }
 
-    // peeled on the first center that reaches the gate: a query that prunes
-    // every center before refinement pays nothing for it
+    // peeled on the first center that reaches the gate (at k ≤ 2, the first
+    // refinement): a query that prunes every center before pays nothing for it
     lazy val kQ = keywordTruss(g, q)
     def hasKQEdge(v: Int): Boolean = {
       var i = g.offsets(v)
@@ -197,13 +229,21 @@ object TopLICDE {
 
     def refine(v: VertexRef): Unit = {
       stats.refined += 1
-      SeedExtract.extract(g, v.id, q.r, q.k, q.keywords) match {
+      val seed =
+        if (pruning == Pruning.KeywordTruss) SeedExtract.extractInTruss(g, kQ, v.id, q.r, q.k, q.keywords)
+        else SeedExtract.extract(g, v.id, q.r, q.k, q.keywords)
+      seed match {
         case None => stats.noCommunity += 1
-        case Some(seed) =>
+        case Some(s) =>
           // dedup BEFORE the σ computation: the same community reached
           // from several of its members is scored once
-          if (!seen.add(Community.key(seed.vertices))) stats.duplicates += 1
-          else best.offer(Community.scored(g, v.id, seed.vertices, q.theta))
+          val key = Community.key(s.vertices)
+          if (!seen.add(key)) stats.duplicates += 1
+          else {
+            val cpp = MIA.influencedCpp(g, s.vertices, q.theta)
+            if (keep) held(key) = cpp
+            best.offer(Community.scored(g, v.id, s.vertices, q.theta, cpp))
+          }
       }
     }
 
@@ -238,6 +278,7 @@ object TopLICDE {
           }
       }
     }
-    TopLResult(best.answers, stats)
+    val answers = best.answers
+    (TopLResult(answers, stats), if (keep) answers.map(c => held(Community.key(c.vertices))).toIndexedSeq else IndexedSeq.empty)
   }
 }

@@ -31,11 +31,18 @@ final case class GraphData(
     kwMask: Array[Long]
 ) extends Serializable {
 
+  /** The rows [[rows]] returns: the builder's checked rows on the driver. */
+  @transient private[graph] var builtRows: Truss.Rows = _
+
   /** G's sorted rows for the whole-graph truss kernels, with their O(|E|)
-    * reverse-slot array: the one whole-graph [[Truss.Rows]], built on first
-    * use and kept. Transient: a broadcast does not ship it.
+    * reverse-slot array: the one whole-graph [[Truss.Rows]]. The builder
+    * hands over the rows it checked; a copy that a broadcast deserialised
+    * (the field is transient) builds them on first use and keeps them.
     */
-  @transient lazy val rows: Truss.Rows = Truss.Rows(offsets, neigh)
+  def rows: Truss.Rows = {
+    if (builtRows == null) builtRows = Truss.Rows(offsets, neigh)
+    builtRows
+  }
 
   /** Number of undirected edges |E(G)| (each stored twice). */
   def numUndirectedEdges: Long = neigh.length.toLong / 2
@@ -71,7 +78,16 @@ final case class GraphData(
     */
   def hopBall(center: Int, r: Int): (Array[Int], Array[Int]) = {
     val ws = Workspace.of(n)
-    val e = ws.nextEpoch()
+    val size = ball(ws, ws.nextEpoch(), center, r, null)
+    (java.util.Arrays.copyOf(ws.outIds, size), java.util.Arrays.copyOf(ws.outDist, size))
+  }
+
+  /** The BFS of [[hopBall]] over the slots where `alive` holds (every slot
+    * when `alive` is null), on `ws` at epoch `e`: it leaves the ball in
+    * `ws.outIds` / `ws.outDist`, stamps each of its vertices with `e`, and
+    * returns its size.
+    */
+  private[repro] def ball(ws: Workspace, e: Int, center: Int, r: Int, alive: Array[Boolean]): Int = {
     val order = ws.outIds
     val dist = ws.outDist
     order(0) = center; dist(0) = 0; ws.stamp(center) = e
@@ -84,12 +100,14 @@ final case class GraphData(
       val end = offsets(u + 1)
       while (i < end) {
         val v = neigh(i)
-        if (ws.stamp(v) != e) { ws.stamp(v) = e; order(size) = v; dist(size) = du; size += 1 }
+        if ((alive == null || alive(i)) && ws.stamp(v) != e) {
+          ws.stamp(v) = e; order(size) = v; dist(size) = du; size += 1
+        }
         i += 1
       }
       head += 1
     }
-    (java.util.Arrays.copyOf(order, size), java.util.Arrays.copyOf(dist, size))
+    size
   }
 }
 
@@ -203,6 +221,8 @@ object SocialGraph {
       require(w(i) > 0 && w(i) <= 1, s"edge row ($v, ${rows.neigh(i)}) has weight ${w(i)} outside (0, 1]")
     }
     val kw = keywords.map(_.sorted)
-    GraphData(keywords.length, rows.offsets, rows.neigh, w, kw, kw.map(KeywordBV.hashSet(_)))
+    val g = GraphData(keywords.length, rows.offsets, rows.neigh, w, kw, kw.map(KeywordBV.hashSet(_)))
+    g.builtRows = rows
+    g
   }
 }

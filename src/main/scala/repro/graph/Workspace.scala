@@ -1,7 +1,8 @@
 package repro.graph
 
 /** Per-thread scratch space of the primitive graph kernels: the hop ball
-  * ([[GraphData.hopBall]]) and the MIA expansion
+  * ([[GraphData.hopBall]]), the K_Q ball of a seed extraction
+  * ([[repro.core.SeedExtract.trussBall]]) and the MIA expansion
   * ([[repro.influence.MIA.influencedCpp]]).
   *
   * Every array is dense over vertex ids `0 … capacity−1`. A stamp array
@@ -32,6 +33,8 @@ final class Workspace private (val capacity: Int) {
   private[repro] val outIds = new Array[Int](capacity)
   private[repro] val outDist = new Array[Int](capacity)
   private[repro] val outProbs = new Array[Double](capacity)
+  /** K_Q ball: a ball vertex's local id, valid where `stamp` is current. */
+  private[repro] val local = new Array[Int](capacity)
 
   // Binary max-heap of (probability, vertex) pairs in two parallel arrays.
   // Entries are never removed early: a popped entry whose probability is

@@ -110,7 +110,8 @@ object Precompute {
   }
 
   /** Convenience: full offline phase from a [[GraphData]], returning the
-    * collected `v.R` of every vertex, ready for index construction.
+    * collected `v.R` of every vertex, ready for index construction. Both
+    * broadcasts are destroyed once the rows are collected.
     */
   def offline(
       spark: SparkSession,
@@ -119,6 +120,7 @@ object Precompute {
       thetaGrid: Array[Double] = DefaultThetaGrid): Array[VertexRef] = {
     val bcG = spark.sparkContext.broadcast(g)
     val bcInc = spark.sparkContext.broadcast(incidentMaxSupport(g))
-    run(spark, bcG, bcInc, rMax, thetaGrid).collect()
+    try run(spark, bcG, bcInc, rMax, thetaGrid).collect()
+    finally { bcG.destroy(); bcInc.destroy() }
   }
 }

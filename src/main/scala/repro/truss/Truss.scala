@@ -21,8 +21,14 @@ object Truss {
     def n: Int = offsets.length - 1
 
     /** f(v, i) for every slot i of row v, rows in ascending order. */
-    @inline def foreachSlot(f: (Int, Int) => Unit): Unit =
-      (0 until n).foreach(v => (offsets(v) until offsets(v + 1)).foreach(f(v, _)))
+    @inline def foreachSlot(f: (Int, Int) => Unit): Unit = {
+      var v = 0
+      while (v < n) {
+        var i = offsets(v)
+        while (i < offsets(v + 1)) { f(v, i); i += 1 }
+        v += 1
+      }
+    }
 
     /** rev(i): the slot of the reverse edge of slot i (the vertices that
       * list v are met in the order row v lists them).
@@ -40,7 +46,12 @@ object Truss {
     def cut(alive: Array[Boolean], i: Int): Unit = { alive(i) = false; alive(rev(i)) = false }
 
     /** Number of edges still alive at v. */
-    def degree(alive: Array[Boolean], v: Int): Int = (offsets(v) until offsets(v + 1)).count(alive(_))
+    def degree(alive: Array[Boolean], v: Int): Int = {
+      var d = 0
+      var i = offsets(v)
+      while (i < offsets(v + 1)) { if (alive(i)) d += 1; i += 1 }
+      d
+    }
 
     /** Per vertex, the max of `vals` over its row (0 for an empty row). */
     def rowMax(vals: Array[Int]): Array[Int] =
@@ -119,9 +130,11 @@ object Truss {
     var head = 0; var tail = 1
     while (head < tail) {
       val u = queue(head); head += 1
-      (rows.offsets(u) until rows.offsets(u + 1)).foreach { i =>
+      var i = rows.offsets(u)
+      while (i < rows.offsets(u + 1)) {
         val v = rows.neigh(i)
         if (alive(i) && dist(v) == Int.MaxValue) { dist(v) = dist(u) + 1; queue(tail) = v; tail += 1 }
+        i += 1
       }
     }
     dist

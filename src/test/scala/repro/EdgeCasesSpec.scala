@@ -86,7 +86,8 @@ class EdgeCasesSpec extends AnyFunSuite {
   }
 
   test("DTopL selectors with L = 0 return empty") {
-    val c = Community(0, Array(0), 1.0, MIA.Cpp(Array(0), Array(1.0)))
+    val cpp = MIA.Cpp(Array(0), Array(1.0))
+    val c = Community(0, Array(0), cpp.sigma, () => cpp)
     assert(DTopL.greedyWP(IndexedSeq(c), 0).selected.isEmpty)
     assert(DTopL.greedyWoP(IndexedSeq(c), 0).selected.isEmpty)
     assert(DTopL.optimal(IndexedSeq(c), 0).selected.isEmpty)
@@ -121,9 +122,10 @@ class EdgeCasesSpec extends AnyFunSuite {
   }
 
   test("Community.key distinguishes different vertex sets only") {
-    val a = Community(0, Array(1, 2, 3), 5.0, MIA.Cpp.Empty)
-    val b = Community(9, Array(1, 2, 3), 5.0, MIA.Cpp.Empty)
-    val c = Community(0, Array(1, 2, 4), 5.0, MIA.Cpp.Empty)
+    val g = TestGraphs.clique(5)
+    val a = Community.scored(g, 0, Array(1, 2, 3), 0.2)
+    val b = Community.scored(g, 9, Array(1, 2, 3), 0.2)
+    val c = Community.scored(g, 0, Array(1, 2, 4), 0.2)
     assert(Community.key(a.vertices) == Community.key(b.vertices))
     assert(Community.key(a.vertices) != Community.key(c.vertices))
   }

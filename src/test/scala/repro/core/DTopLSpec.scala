@@ -12,7 +12,8 @@ import scala.util.Random
 class DTopLSpec extends AnyFunSuite with MiniChecks {
 
   /** Synthetic candidates with random cpp maps over a universe of users;
-    * σ is the cpp sum, as `Community.scored` sets it.
+    * σ is the cpp sum, as `Community.scored` sets it, and `influenced`
+    * returns the hand-made arrays.
     */
   private def candidates(m: Int, universe: Int, seed: Long): IndexedSeq[Community] = {
     val rnd = new Random(seed)
@@ -24,7 +25,7 @@ class DTopLSpec extends AnyFunSuite with MiniChecks {
 
   private def community(center: Int, cpp: Map[Int, Double]): Community = {
     val c = TestGraphs.cppOf(cpp)
-    Community(center, Array(center), c.sigma, c)
+    Community(center, Array(center), c.sigma, () => c)
   }
 
   private def centers(r: DTopL.DResult): Seq[Int] = r.selected.map(_.center)
@@ -36,14 +37,14 @@ class DTopLSpec extends AnyFunSuite with MiniChecks {
   }
 
   test("diversity of disjoint communities is the sum of σ") {
-    val a = Community(0, Array(0), 0.9, TestGraphs.cppOf(Map(1 -> 0.4, 2 -> 0.5)))
-    val b = Community(1, Array(1), 0.7, TestGraphs.cppOf(Map(3 -> 0.3, 4 -> 0.4)))
+    val a = community(0, Map(1 -> 0.4, 2 -> 0.5))
+    val b = community(1, Map(3 -> 0.3, 4 -> 0.4))
     assert(math.abs(DTopL.diversity(Seq(a, b)) - 1.6) < 1e-12)
   }
 
   test("overlap counted once with the max cpp (Eq. 6)") {
-    val a = Community(0, Array(0), 0.9, TestGraphs.cppOf(Map(1 -> 0.4, 2 -> 0.5)))
-    val b = Community(1, Array(1), 0.8, TestGraphs.cppOf(Map(1 -> 0.6, 3 -> 0.2)))
+    val a = community(0, Map(1 -> 0.4, 2 -> 0.5))
+    val b = community(1, Map(1 -> 0.6, 3 -> 0.2))
     assert(math.abs(DTopL.diversity(Seq(a, b)) - (0.6 + 0.5 + 0.2)) < 1e-12)
   }
 

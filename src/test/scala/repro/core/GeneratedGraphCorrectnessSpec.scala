@@ -2,7 +2,8 @@ package repro.core
 
 import repro.graph.GraphGen
 import repro.graph.GraphGen.KwDist
-import repro.graph.SocialGraph
+import repro.graph.{GraphData, SocialGraph}
+import repro.influence.MIA
 import repro.{SparkSpec, TestGraphs}
 
 /** End-to-end exactness of the full pipeline (Spark offline + tree index +
@@ -60,5 +61,44 @@ class GeneratedGraphCorrectnessSpec extends SparkSpec {
       assert(wp.score >= (1 - 1 / math.E) * opt.score - 1e-9)
       assert(wp.score <= opt.score + 1e-9)
     }
+  }
+
+  private def bits(x: Double): Long = java.lang.Double.doubleToRawLongBits(x)
+
+  /** Each answer's `cpp`, expanded again on read, is a fresh
+    * `MIA.influencedCpp` of its members, bit for bit, and σ is its sum.
+    */
+  private def assertRecomputes(g: GraphData, q: Query, cs: Seq[Community], clue: String): Unit =
+    cs.foreach { c =>
+      val got = c.cpp
+      val want = MIA.influencedCpp(g, c.vertices, q.theta)
+      assert(got.ids.sameElements(want.ids), s"$clue: ids of $c")
+      assert(got.probs.map(bits).sameElements(want.probs.map(bits)), s"$clue: probs of $c")
+      assert(bits(c.sigma) == bits(got.sigma), s"$clue: σ of $c")
+    }
+
+  test("answers recompute g^Inf bit for bit; dTopL is greedyWP over topL's n·L answers") {
+    Seq("dblp" -> GraphGen.dblpLike(spark, 600, seed = 3L), "amazon" -> GraphGen.amazonLike(spark, 600, seed = 5L))
+      .foreach { case (name, gf) =>
+        val built = Pipeline.build(spark, gf, rMax = 2)
+        val g = built.g
+        val off = ATindex.offline(g)
+        val bcG = spark.sparkContext.broadcast(g)
+        try queries.foreach { q =>
+          val clue = s"$name/$q"
+          assertRecomputes(g, q, built.topL(q).communities, s"$clue Alg. 3")
+          assertRecomputes(g, q, ATindex.query(g, off, q)._1, s"$clue ATindex")
+          assertRecomputes(g, q, BruteForce.topL(spark, bcG, q), s"$clue BruteForce")
+          Seq(1, 2, 4).foreach { n =>
+            val got = built.dTopL(q, n)
+            val want = DTopL.greedyWP(built.topL(q.copy(L = n * q.L)).communities.toIndexedSeq, q.L)
+            def picks(d: DTopL.DResult) = d.selected.map(c => (c.center, c.vertices.toSeq, bits(c.sigma)))
+            assert(picks(got) == picks(want), s"$clue n=$n selection")
+            assert(bits(got.score) == bits(want.score), s"$clue n=$n D(S)")
+            assert(got.incrementEvals == want.incrementEvals, s"$clue n=$n evaluations")
+            assertRecomputes(g, q, got.selected, s"$clue n=$n dTopL")
+          }
+        } finally bcG.destroy()
+      }
   }
 }

@@ -144,4 +144,46 @@ class SeedExtractSpec extends AnyFunSuite with MiniChecks {
       }
     }
   }
+
+  test("property: extraction from the K_Q ball equals extract and refSeed, on a smaller ball") {
+    // Q is a random non-empty subset of the 5 keywords, as a bit mask
+    val gen = Gen.zip(Gen.chooseNum(6, 24), Gen.chooseNum(1, 60), Gen.chooseNum(2, 5), Gen.chooseNum(1, 3),
+      Gen.chooseNum(1, 31))
+    var smaller = 0
+    forAllN(gen, n = 150) { case (n, seed, k, r, bits) =>
+      val g = TestGraphs.random(n, 0.35, sigma = 5, kwPerVertex = 2, seed = seed.toLong)
+      val query = (0 until 5).filter(b => (bits >> b & 1) == 1).toArray
+      val kQ = TopLICDE.keywordTruss(g, Query(query, k, r, 0.1, 1))
+      (0 until n).foreach { c =>
+        val got = SeedExtract.extractInTruss(g, kQ, c, r, k, query).map(_.vertices.toSeq)
+        val clue = s"c=$c k=$k r=$r Q=${query.mkString(",")}"
+        assert(got == SeedExtract.extract(g, c, r, k, query).map(_.vertices.toSeq), s"extract, $clue")
+        assert(got == TestGraphs.refSeed(g, c, r, k, query).map(_.vertices.toSeq), s"refSeed, $clue")
+        if (g.matchesQuery(c, query) &&
+            SeedExtract.trussBall(g, kQ, c, r)._1.length < SeedExtract.filteredBall(g, c, r, query)._1.length)
+          smaller += 1
+      }
+    }
+    assert(smaller > 0, "no K_Q ball was smaller than its filtered ball")
+  }
+
+  test("trussBall: members within r over K_Q, sorted rows of the K_Q edges between them") {
+    forAllN2(Gen.chooseNum(6, 20), Gen.chooseNum(1, 30), n = 40) { (n, seed) =>
+      val g = TestGraphs.random(n, 0.4, sigma = 4, seed = seed.toLong)
+      val kQ = TopLICDE.keywordTruss(g, Query(Array(0, 1), 3, 2, 0.1, 1))
+      val kQEdges = (0 until n).flatMap(u => (g.offsets(u) until g.offsets(u + 1)).filter(kQ).map(i => (u, g.neigh(i))))
+      val adj = kQEdges.groupMap(_._1)(_._2)
+      (0 until n).foreach { c =>
+        val (global, rows) = SeedExtract.trussBall(g, kQ, c, 2)
+        val want = TestGraphs.bfs(c, adj.getOrElse(_, Nil), 2).keySet
+        assert(global.toSeq == want.toSeq.sorted)
+        val local = TestGraphs.edgeSet(TestGraphs.adjOf(rows, rows.allAlive)).map { case (u, v) => (global(u), global(v)) }
+        assert(local == kQEdges.filter { case (u, v) => u < v && want(u) && want(v) }.toSet)
+        (0 until rows.n).foreach { v =>
+          val row = rows.neigh.slice(rows.offsets(v), rows.offsets(v + 1))
+          assert(row.toSeq == row.sorted.toSeq)
+        }
+      }
+    }
+  }
 }
