@@ -17,6 +17,9 @@ class Fig2TopLvsATindexBench extends SparkSpec {
     rows.foreach { r =>
       assert(r.topLMs > 0 && r.topLNoKQMs > 0 && r.atOnlineMs > 0)
       assert(r.speedup > 1.0, s"${r.graph}: index+pruning must beat ATindex (got ${r.speedup}x)")
+      // the same ordering in work that repeats exactly, apart from the
+      // machine's speed: Alg. 3 refines fewer centers than ATindex extracts
+      assert(r.noKQRefined < r.atRefined, s"${r.graph}: refined ${r.noKQRefined} vs ATindex's ${r.atRefined}")
     }
     // Paper reports >10x at 50K-317K vertices; at our 10K-20K scale, with a
     // JVM baseline sharing the same fast extraction kernel, the gap is

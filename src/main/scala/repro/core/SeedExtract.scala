@@ -59,37 +59,17 @@ object SeedExtract {
   /** The r-ball of `center` in the keyword truss K_Q, given as its `alive`
     * mask over G's slots ([[TopLICDE.keywordTruss]]): the vertices within r
     * of `center` over K_Q's edges, found on this thread's [[Workspace]] and
-    * sorted, and their sorted rows over the K_Q edges between them (local id
-    * j is global vertex j of the returned array).
+    * sorted, and their sorted rows over the K_Q edges between them
+    * ([[Truss.Rows.sub]]; local id j is global vertex j of the returned
+    * array).
     */
   def trussBall(g: GraphData, kQ: Array[Boolean], center: Int, r: Int): (Array[Int], Truss.Rows) = {
     val ws = Workspace.of(g.n)
     val e = ws.nextEpoch()
     val global = java.util.Arrays.copyOf(ws.outIds, g.ball(ws, e, center, r, kQ))
     java.util.Arrays.sort(global)
-    var j = 0
-    while (j < global.length) { ws.local(global(j)) = j; j += 1 }
-    // a K_Q slot between two ball vertices: g's row is sorted and local ids
-    // follow the global order, so each local row comes out sorted
-    def inBall(i: Int): Boolean = kQ(i) && ws.stamp(g.neigh(i)) == e
-    val offsets = new Array[Int](global.length + 1)
-    j = 0
-    while (j < global.length) {
-      var c = 0
-      var i = g.offsets(global(j))
-      while (i < g.offsets(global(j) + 1)) { if (inBall(i)) c += 1; i += 1 }
-      offsets(j + 1) = offsets(j) + c
-      j += 1
-    }
-    val neigh = new Array[Int](offsets(global.length))
-    var s = 0
-    j = 0
-    while (j < global.length) {
-      var i = g.offsets(global(j))
-      while (i < g.offsets(global(j) + 1)) { if (inBall(i)) { neigh(s) = ws.local(g.neigh(i)); s += 1 }; i += 1 }
-      j += 1
-    }
-    (global, Truss.Rows(offsets, neigh))
+    // the K_Q slots between two ball vertices
+    (global, g.rows.sub(global, ws.local, i => kQ(i) && ws.stamp(g.neigh(i)) == e)._1)
   }
 
   /** @return the seed community of `center`, or None if none exists. */

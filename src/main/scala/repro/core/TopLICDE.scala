@@ -1,11 +1,11 @@
 package repro.core
 
-import repro.graph.GraphData
+import repro.graph.{GraphData, Workspace}
 import repro.index.TreeIndex
 import repro.index.TreeIndex.{Inner, Leaf, Node, VertexRef}
 import repro.influence.MIA
 import repro.keywords.KeywordBV
-import repro.truss.Truss
+import repro.truss.{KCore, Truss}
 
 import scala.collection.{immutable, mutable}
 
@@ -153,13 +153,44 @@ object TopLICDE {
     * `alive` mask over G's own CSR slots. A seed community is a k-truss
     * whose members all match Q, so its edges lie in K_Q: for k ≥ 3 a center
     * whose row holds no alive slot has no community.
+    *
+    * Every vertex of a k-truss has ≥ k−1 neighbours in it, so K_Q lies in
+    * the (k−1)-core of G[V_Q]: the mask is peeled by degree to that core
+    * first, and the truss peel runs on compact rows of the core's slots.
     */
   def keywordTruss(g: GraphData, q: Query): Array[Boolean] = {
-    val matches = Array.tabulate(g.n)(v =>
-      KeywordBV.mayIntersect(g.kwMask(v), q.queryBv) && g.matchesQuery(v, q.keywords))
+    val rows = g.rows
+    val matches = new Array[Boolean](g.n)
+    var v = 0
+    while (v < g.n) {
+      matches(v) = KeywordBV.mayIntersect(g.kwMask(v), q.queryBv) && g.matchesQuery(v, q.keywords)
+      v += 1
+    }
+    // G[V_Q] and each vertex's degree in it
     val alive = new Array[Boolean](g.neigh.length)
-    g.rows.foreachSlot((v, i) => alive(i) = matches(v) && matches(g.neigh(i)))
-    Truss.kTrussPeel(g.rows, alive, q.k)
+    val deg = new Array[Int](g.n)
+    v = 0
+    while (v < g.n) {
+      if (matches(v)) {
+        var i = g.offsets(v)
+        while (i < g.offsets(v + 1)) {
+          if (matches(g.neigh(i))) { alive(i) = true; deg(v) += 1 }
+          i += 1
+        }
+      }
+      v += 1
+    }
+    if (q.k >= 3) { // every graph is a (≤2)-truss
+      KCore.kCorePeel(rows, alive, q.k - 1, deg)
+      val core = new mutable.ArrayBuilder.ofInt
+      v = 0
+      while (v < g.n) { if (deg(v) > 0) core.addOne(v); v += 1 }
+      val (coreRows, from) = rows.sub(core.result(), Workspace.of(g.n).local, alive(_))
+      val kept = coreRows.allAlive
+      Truss.kTrussPeel(coreRows, kept, q.k)
+      var s = 0
+      while (s < from.length) { if (!kept(s)) alive(from(s)) = false; s += 1 }
+    }
     alive
   }
 

@@ -35,9 +35,9 @@ object Tables {
   def fig2(rows: Seq[Fig2Row]): Unit =
     show("Fig 2: TopL-ICDE vs ATindex, online wall clock (paper: >10x on every graph)",
       Seq("graph", "TopL ms", "TopL ms, no K_Q", "ATindex offline ms", "ATindex online ms",
-        "refined centers", "speedup x, no K_Q"),
+        "refined, no K_Q", "ATindex refined", "speedup x, no K_Q"),
       rows.map(r => Seq(r.graph, ms(r.topLMs), ms(r.topLNoKQMs), ms(r.atOfflineMs), ms(r.atOnlineMs),
-        r.atRefined.toString, d2(r.speedup))))
+        r.noKQRefined.toString, r.atRefined.toString, d2(r.speedup))))
 
   def fig3Fixed(rows: Seq[SweepRow]): Unit =
     sweep("Fig 3(a-e): theta/|Q|/k/r/L sweeps (paper: 2.44-10.83 s at 50K; low sensitivity except r)", rows)

@@ -56,9 +56,6 @@ final case class GraphData(
     while (i < end) { f(neigh(i), weight(i)); i += 1 }
   }
 
-  def neighborsOf(v: Int): Array[Int] =
-    java.util.Arrays.copyOfRange(neigh, offsets(v), offsets(v + 1))
-
   /** True iff vertex `v` matches at least one query keyword (exact). */
   def matchesQuery(v: Int, query: Array[Int]): Boolean = {
     val w = keywords(v)

@@ -2,7 +2,8 @@ package repro.graph
 
 /** Per-thread scratch space of the primitive graph kernels: the hop ball
   * ([[GraphData.hopBall]]), the K_Q ball of a seed extraction
-  * ([[repro.core.SeedExtract.trussBall]]) and the MIA expansion
+  * ([[repro.core.SeedExtract.trussBall]]), the compact rows of the K_Q
+  * core ([[repro.core.TopLICDE.keywordTruss]]) and the MIA expansion
   * ([[repro.influence.MIA.influencedCpp]]).
   *
   * Every array is dense over vertex ids `0 … capacity−1`. A stamp array
@@ -33,7 +34,10 @@ final class Workspace private (val capacity: Int) {
   private[repro] val outIds = new Array[Int](capacity)
   private[repro] val outDist = new Array[Int](capacity)
   private[repro] val outProbs = new Array[Double](capacity)
-  /** K_Q ball: a ball vertex's local id, valid where `stamp` is current. */
+  /** Local ids of compact sub-rows ([[repro.truss.Truss.Rows.sub]]): a
+    * K_Q ball vertex's, valid where `stamp` is current, or a K_Q core
+    * vertex's while K_Q is peeled.
+    */
   private[repro] val local = new Array[Int](capacity)
 
   // Binary max-heap of (probability, vertex) pairs in two parallel arrays.

@@ -2,10 +2,11 @@ package repro.truss
 
 /** Local (in-memory) k-truss machinery over sorted CSR rows, [[Truss.Rows]]:
   * the whole graph uses `GraphData`'s own `offsets`/`neigh`, and each
-  * keyword-filtered ball builds small rows of its own. Every undirected edge
-  * has two slots, one per row. An edge is removed by clearing both slots in
-  * an `alive` array parallel to `neigh`; supports and trussness are arrays
-  * parallel to `neigh`, equal on both slots.
+  * keyword-filtered ball, K_Q ball and K_Q core builds small rows of its
+  * own. Every undirected edge has two slots, one per row. An edge is
+  * removed by clearing both slots in an `alive` array parallel to `neigh`;
+  * supports and trussness are arrays parallel to `neigh`, equal on both
+  * slots.
   *
   * Definitions (paper §II, [16]): the support `sup(e)` of edge e=(u,v) is
   * |N(u) ∩ N(v)|, found by merging the two sorted rows (Wang & Cheng, VLDB
@@ -51,6 +52,40 @@ object Truss {
       var i = offsets(v)
       while (i < offsets(v + 1)) { if (alive(i)) d += 1; i += 1 }
       d
+    }
+
+    /** The sub-rows of the slots i where `keep(i)` holds, over the sorted
+      * vertices `global`; every kept slot lies in a row of `global` and
+      * leads into it. Local id j is vertex global(j): the ids follow the
+      * global order, so each sub-row comes out sorted. `local` is scratch
+      * over this rows' vertices, left holding each member's local id.
+      * Returns the sub-rows and, per sub-slot, the slot it copies.
+      */
+    def sub(global: Array[Int], local: Array[Int], keep: Int => Boolean): (Rows, Array[Int]) = {
+      var j = 0
+      while (j < global.length) { local(global(j)) = j; j += 1 }
+      val subOffsets = new Array[Int](global.length + 1)
+      j = 0
+      while (j < global.length) {
+        var c = 0
+        var i = offsets(global(j))
+        while (i < offsets(global(j) + 1)) { if (keep(i)) c += 1; i += 1 }
+        subOffsets(j + 1) = subOffsets(j) + c
+        j += 1
+      }
+      val from = new Array[Int](subOffsets(global.length))
+      val subNeigh = new Array[Int](from.length)
+      var s = 0
+      j = 0
+      while (j < global.length) {
+        var i = offsets(global(j))
+        while (i < offsets(global(j) + 1)) {
+          if (keep(i)) { from(s) = i; subNeigh(s) = local(neigh(i)); s += 1 }
+          i += 1
+        }
+        j += 1
+      }
+      (Rows(subOffsets, subNeigh), from)
     }
 
     /** Per vertex, the max of `vals` over its row (0 for an empty row). */

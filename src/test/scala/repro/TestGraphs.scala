@@ -58,8 +58,11 @@ object TestGraphs {
     */
   type Adj = Array[mutable.HashSet[Int]]
 
+  /** The neighbours of v in g: its sorted CSR row. */
+  def row(g: GraphData, v: Int): Array[Int] = g.neigh.slice(g.offsets(v), g.offsets(v + 1))
+
   /** Adjacency sets of the undirected structure of g. */
-  def adjOf(g: GraphData): Adj = Array.tabulate(g.n)(v => mutable.HashSet.from(g.neighborsOf(v)))
+  def adjOf(g: GraphData): Adj = Array.tabulate(g.n)(v => mutable.HashSet.from(row(g, v)))
 
   /** Adjacency sets of the alive edges of `rows`. */
   def adjOf(rows: Truss.Rows, alive: Array[Boolean]): Adj =
@@ -144,9 +147,9 @@ object TestGraphs {
     */
   def refSeed(g: GraphData, c: Int, r: Int, k: Int, q: Array[Int]): Option[RefSeed] = {
     if (!g.matchesQuery(c, q)) return None
-    val ball = bfs(c, g.neighborsOf(_), r).keys.filter(g.matchesQuery(_, q)).toArray.sorted
+    val ball = bfs(c, row(g, _), r).keys.filter(g.matchesQuery(_, q)).toArray.sorted
     val local = ball.zipWithIndex.toMap
-    var adj: Adj = ball.map(v => mutable.HashSet.from(g.neighborsOf(v).flatMap(local.get)))
+    var adj: Adj = ball.map(v => mutable.HashSet.from(row(g, v).flatMap(local.get)))
     val lc = local(c)
     var changed = true
     while (changed) {
@@ -168,7 +171,7 @@ object TestGraphs {
     */
   def seedEdges(g: GraphData, members: Array[Int], k: Int): Array[(Int, Int)] = {
     val local = members.zipWithIndex.toMap
-    val adj: Adj = members.map(v => mutable.HashSet.from(g.neighborsOf(v).flatMap(local.get)))
+    val adj: Adj = members.map(v => mutable.HashSet.from(row(g, v).flatMap(local.get)))
     edgeSet(refKTruss(adj, k)).toArray.map { case (u, v) => (members(u), members(v)) }.sorted
   }
 
@@ -307,5 +310,5 @@ object TestGraphs {
   def twoK4Tie(): GraphData = cliques(15, Seq((4, 4, false), (10, 4, true)))
 
   /** Reference hop distances by BFS from one vertex. */
-  def refDist(g: GraphData, source: Int): Map[Int, Int] = bfs(source, g.neighborsOf(_))
+  def refDist(g: GraphData, source: Int): Map[Int, Int] = bfs(source, row(g, _))
 }

@@ -89,7 +89,7 @@ class SeedExtractSpec extends AnyFunSuite with MiniChecks {
           edges.foreach { case (u, v) =>
             assert(local.contains(u) && local.contains(v), "edge endpoints inside community")
             // every community edge is a real graph edge
-            assert(g.neighborsOf(u).contains(v), s"phantom edge ($u,$v)")
+            assert(TestGraphs.row(g, u).contains(v), s"phantom edge ($u,$v)")
           }
           val rows = SocialGraph.fromEdges(members.length, edges.map { case (u, v) => (local(u), local(v)) }).rows
           assert(TestGraphs.isKTruss(TestGraphs.adjOf(rows, rows.allAlive), k), s"k-truss constraint, k=$k")

@@ -4,6 +4,7 @@ import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.{GraphData, SocialGraph}
 import repro.index.Precompute
+import repro.keywords.KeywordBV
 import repro.{MiniChecks, TestGraphs}
 
 import scala.util.Random
@@ -222,6 +223,58 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
     assert(kept > 0 && peeled > 0, s"kept $kept, peeled $peeled: a side never ran")
   }
 
+  test("K_Q keeps a k-clique whose members have exactly k-1 matching neighbours") {
+    // the clique 0 … k−1 matches Q; each member also has a neighbour off
+    // V_Q, so its degree in G is k but in G[V_Q] only k − 1: K_Q is the
+    // (k−1)-core of G[V_Q], and a core taken at k would lose it
+    (3 to 5).foreach { k =>
+      val clique = for { u <- 0 until k; v <- (u + 1) until k } yield (u, v)
+      val g = SocialGraph.fromEdges(2 * k, clique ++ (0 until k).map(v => (v, k + v)),
+        keywords = (0 until 2 * k).map(v => v -> Seq(if (v < k) 0 else 1)).toMap)
+      val q = Query(Array(0), k, 1, 0.2, 1)
+      val kQ = TopLICDE.keywordTruss(g, q)
+      g.rows.foreachSlot((u, i) => assert(kQ(i) == (u < k && g.neigh(i) < k), s"slot ($u, ${g.neigh(i)}), k = $k"))
+      val want = TestGraphs.refTopL(g, q)
+      assert(want.map(_._2) == Seq(0 until k))
+      TestGraphs.assertSameAnswers(answers(TopLICDE.run(g, TestGraphs.localIndex(g, 1), grid, q)), want)
+    }
+  }
+
+  /** A keyword ≠ 0 on the bit of keyword 0: it passes every bit-vector
+    * test of Q = {0} and fails the exact match.
+    */
+  private val twin = Iterator.from(1).find(KeywordBV.bitOf(_) == KeywordBV.bitOf(0)).get
+
+  /** Alg. 3 on `g` at Q = {0} gates every center: each passes the bit-vector,
+    * support and score tests, and K_Q is empty.
+    */
+  private def assertAllGated(g: GraphData, k: Int): Unit = {
+    val q = Query(Array(0), k, 1, 0.2, 2)
+    assert(!TopLICDE.keywordTruss(g, q).contains(true), s"K_Q is empty, k = $k")
+    val res = TopLICDE.run(g, TestGraphs.localIndex(g, 1), grid, q)
+    assert(res.stats.vertexTrussPruned == g.n && res.stats.refined == 0, s"k = $k")
+    assert(res.communities.isEmpty)
+    TestGraphs.assertSameAnswers(answers(res), TestGraphs.refTopL(g, q))
+  }
+
+  test("V_Q empty: every center is gated, and the answer is empty") {
+    // K5 where every keyword shares keyword 0's bit but none is 0
+    val g = SocialGraph.fromEdges(5, for { u <- 0 until 5; v <- (u + 1) until 5 } yield (u, v),
+      keywords = (0 until 5).map(_ -> Seq(twin)).toMap)
+    (3 to 4).foreach(assertAllGated(g, _))
+  }
+
+  test("(k-1)-core of G[V_Q] empty: every center is gated, and the answer is empty") {
+    // V_Q = {0, 1, 2, 3} is a path, so its 2-core is empty; the hubs 4, 5, 6
+    // (keyword twin) join each other and every path vertex, so each path
+    // edge has support 3 in G
+    val hubs = Seq(4, 5, 6)
+    val edges = Seq((0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (5, 6)) ++ hubs.flatMap(h => (0 until 4).map(_ -> h))
+    val g = SocialGraph.fromEdges(7, edges,
+      keywords = (0 until 7).map(v => v -> Seq(if (v < 4) 0 else twin)).toMap)
+    (3 to 4).foreach(assertAllGated(g, _))
+  }
+
   test("property: a center with no K_Q edge has no seed community") {
     val gen = Gen.zip(
       Gen.chooseNum(8, 40),        // n
@@ -237,7 +290,7 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
       val kQ = TopLICDE.keywordTruss(g, q)
       (0 until g.n).filterNot(hasKQEdge(g, kQ, _)).foreach { v =>
         // the gate fires on it: v matches Q and keeps an edge in G[V_Q]
-        if (g.matchesQuery(v, q.keywords) && g.neighborsOf(v).exists(g.matchesQuery(_, q.keywords))) fired += 1
+        if (g.matchesQuery(v, q.keywords) && TestGraphs.row(g, v).exists(g.matchesQuery(_, q.keywords))) fired += 1
         assert(TestGraphs.refSeed(g, v, r, k, q.keywords).isEmpty, s"center $v has no K_Q edge but has a community")
       }
     }

@@ -2,7 +2,7 @@ package repro.graph
 
 import org.apache.spark.sql.functions._
 import repro.graph.GraphGen.KwDist
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, TestGraphs}
 
 /** Generators: structure, determinism, weights, keyword distributions —
   * with DuckDB oracle checks on the relational aggregates.
@@ -131,7 +131,7 @@ class GraphGenSpec extends SparkSpec {
     assert(g.n == 300)
     assert(g.neigh.length == uni.edges.count())
     (0 until g.n).foreach { v =>
-      g.foreachNeighbor(v) { (u, _) => assert(g.neighborsOf(u).contains(v)) }
+      g.foreachNeighbor(v) { (u, _) => assert(TestGraphs.row(g, u).contains(v)) }
     }
   }
 
@@ -248,7 +248,7 @@ class GraphGenSpec extends SparkSpec {
       val want = gf.edges.select("src", "dst", "weight").collect()
         .map(r => (r.getLong(0).toInt, r.getLong(1).toInt) -> r.getDouble(2)).toMap
       val got = (0 until g.n).flatMap { v =>
-        val row = g.neighborsOf(v)
+        val row = TestGraphs.row(g, v)
         assert(row.toSeq == row.sorted.toSeq, s"row $v ascending")
         (g.offsets(v) until g.offsets(v + 1)).map(i => (v, g.neigh(i)) -> g.weight(i))
       }

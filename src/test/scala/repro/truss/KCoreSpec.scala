@@ -7,7 +7,10 @@ import repro.{MiniChecks, TestGraphs}
 
 import scala.util.Random
 
-/** k-core peeling on sorted rows vs a naive neighbour-set fixpoint reference. */
+/** k-core peeling on sorted rows vs a naive neighbour-set fixpoint
+  * reference, from the full graph and from the partial masks that the
+  * keyword truss K_Q starts from.
+  */
 class KCoreSpec extends AnyFunSuite with MiniChecks {
 
   private def refKCore(adjIn: TestGraphs.Adj, k: Int): TestGraphs.Adj = {
@@ -62,6 +65,62 @@ class KCoreSpec extends AnyFunSuite with MiniChecks {
     forAllN3(Gen.chooseNum(4, 20), Gen.chooseNum(1, 10), Gen.chooseNum(2, 5), n = 40) { (n, seed, k) =>
       val adj = cored(randomRows(n, seed), k)
       adj.indices.foreach(v => assert(adj(v).isEmpty || adj(v).size >= k))
+    }
+  }
+
+  /** A random partial mask over `rows`, as G[V_Q] is: each edge alive with
+    * probability `p`, on both of its slots.
+    */
+  private def partialMask(rows: Truss.Rows, p: Double, seed: Int): Array[Boolean] = {
+    val rnd = new Random(seed.toLong * 31 + 7)
+    val alive = new Array[Boolean](rows.neigh.length)
+    rows.foreachSlot((u, i) => if (u < rows.neigh(i) && rnd.nextDouble() < p) { alive(i) = true; alive(rows.rev(i)) = true })
+    alive
+  }
+
+  test("property: peel from a partial mask equals naive fixpoint, with core degrees") {
+    val gen = Gen.zip(
+      Gen.chooseNum(4, 20),        // n
+      Gen.chooseNum(1, 40),        // seed
+      Gen.chooseNum(0, 5),         // k
+      Gen.chooseNum(1, 9))         // tenths of edges alive
+    var (kept, peeled) = (0, 0)
+    forAllN(gen, n = 120) { case (n, seed, k, p) =>
+      val rows = randomRows(n, seed)
+      val alive = partialMask(rows, p / 10.0, seed)
+      val before = TestGraphs.edgeSet(TestGraphs.adjOf(rows, alive)).size
+      val want = refKCore(TestGraphs.adjOf(rows, alive), k)
+      val deg = Array.tabulate(rows.n)(rows.degree(alive, _))
+      KCore.kCorePeel(rows, alive, k, deg)
+      val got = TestGraphs.edgeSet(TestGraphs.adjOf(rows, alive))
+      assert(got == TestGraphs.edgeSet(want), s"k = $k")
+      assert(deg.toSeq == want.map(_.size).toSeq, "deg is each vertex's degree in the core")
+      kept += got.size; peeled += before - got.size
+    }
+    assert(kept > 0 && peeled > 0, s"kept $kept, peeled $peeled: a side never ran")
+  }
+
+  test("an empty mask stays empty at every k") {
+    val rows = TestGraphs.clique(5).rows
+    (0 to 5).foreach { k =>
+      val alive = new Array[Boolean](rows.neigh.length)
+      val deg = new Array[Int](rows.n)
+      KCore.kCorePeel(rows, alive, k, deg)
+      assert(!alive.contains(true) && deg.forall(_ == 0), s"k = $k")
+    }
+  }
+
+  test("k <= 1 leaves a partial mask and its degrees as they are") {
+    forAllN2(Gen.chooseNum(4, 16), Gen.chooseNum(1, 20), n = 20) { (n, seed) =>
+      val rows = randomRows(n, seed)
+      Seq(-1, 0, 1).foreach { k =>
+        val alive = partialMask(rows, 0.5, seed)
+        val mask = alive.clone()
+        val deg = Array.tabulate(rows.n)(rows.degree(alive, _))
+        val degrees = deg.clone()
+        KCore.kCorePeel(rows, alive, k, deg)
+        assert(alive.sameElements(mask) && deg.sameElements(degrees), s"k = $k")
+      }
     }
   }
 

@@ -92,7 +92,7 @@ class SupportSparkSpec extends SparkSpec {
     val star = SocialGraph.fromEdges(5, Seq((0, 1), (0, 2), (0, 3), (0, 4)))
     import spark.implicits._
     val edges = (0 until 5).flatMap { v =>
-      star.neighborsOf(v).map(u => (v.toLong, u.toLong, 0.5))
+      TestGraphs.row(star, v).map(u => (v.toLong, u.toLong, 0.5))
     }.toDF("src", "dst", "weight")
     val sup = Support.edgeSupports(edges).collect()
     assert(sup.length == 4)
