@@ -19,9 +19,7 @@ object BruteForce {
   def candidates(spark: SparkSession, bcG: Broadcast[GraphData], q: Query): Dataset[Cand] = {
     import spark.implicits._
     val (kw, k, r, theta) = (q.keywords, q.k, q.r, q.theta)
-    spark
-      .range(bcG.value.n.toLong)
-      .repartition(spark.sparkContext.defaultParallelism * 4)
+    spark.range(0L, bcG.value.n.toLong, 1L, spark.sparkContext.defaultParallelism * 4)
       .mapPartitions { it =>
         val g = bcG.value
         it.flatMap { v =>

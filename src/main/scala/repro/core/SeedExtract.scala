@@ -27,7 +27,9 @@ import repro.truss.Truss
   * Two balls feed the same fixpoint: the keyword-filtered ball of G
   * ([[extract]], the paper's Alg. 3, both baselines and the benchmark's
   * replay) and the much smaller r-ball in the query's keyword truss K_Q
-  * ([[extractInTruss]], Alg. 3's `KeywordTruss` rung).
+  * ([[extractInTruss]], Alg. 3's `KeywordTruss` rung). One builder makes both:
+  * the BFS [[Workspace.ball]], then [[Truss.Rows.sub]] of the members; the
+  * fixpoint's radius cut is the same BFS over the ball's alive slots.
   */
 object SeedExtract {
 
@@ -41,44 +43,39 @@ object SeedExtract {
     * match a query keyword, sorted, and their induced sorted rows over
     * local ids (local id j is global vertex j of the returned array).
     */
-  def filteredBall(g: GraphData, center: Int, r: Int, query: Array[Int]): (Array[Int], Truss.Rows) = {
-    val global = g.hopBall(center, r)._1.filter(g.matchesQuery(_, query)).sorted
-    val offsets = new Array[Int](global.length + 1)
-    val neigh = Array.newBuilder[Int]
-    global.indices.foreach { j =>
-      // g's row is sorted and so is `global`: the hits come out in local order
-      g.foreachNeighbor(global(j)) { (u, _) =>
-        val lu = java.util.Arrays.binarySearch(global, u)
-        if (lu >= 0) neigh += lu
-      }
-      offsets(j + 1) = neigh.length
-    }
-    (global, Truss.Rows(offsets, neigh.result()))
-  }
+  def filteredBall(g: GraphData, center: Int, r: Int, query: Array[Int]): (Array[Int], Truss.Rows) =
+    ballRows(g, center, r, null, g.matchesQuery(_, query))
 
   /** The r-ball of `center` in the keyword truss K_Q, given as its `alive`
     * mask over G's slots ([[TopLICDE.keywordTruss]]): the vertices within r
-    * of `center` over K_Q's edges, found on this thread's [[Workspace]] and
-    * sorted, and their sorted rows over the K_Q edges between them
-    * ([[Truss.Rows.sub]]; local id j is global vertex j of the returned
-    * array).
+    * of `center` over K_Q's edges, sorted, and their rows of K_Q edges.
     */
-  def trussBall(g: GraphData, kQ: Array[Boolean], center: Int, r: Int): (Array[Int], Truss.Rows) = {
+  def trussBall(g: GraphData, kQ: Array[Boolean], center: Int, r: Int): (Array[Int], Truss.Rows) =
+    ballRows(g, center, r, kQ, _ => true)
+
+  /** The one builder of both balls: the BFS to depth r from `center` over
+    * G's slots where `walk` holds (every slot when null), on this thread's
+    * [[Workspace]]; the ball vertices that pass `member`, sorted; and their
+    * sub-rows ([[Truss.Rows.sub]]) of the slots that `walk` holds and that
+    * lead to a member.
+    */
+  private def ballRows(g: GraphData, center: Int, r: Int, walk: Array[Boolean], member: Int => Boolean) = {
     val ws = Workspace.of(g.n)
-    val e = ws.nextEpoch()
-    val global = java.util.Arrays.copyOf(ws.outIds, g.ball(ws, e, center, r, kQ))
+    val size = ws.ball(g.offsets, g.neigh, center, r, walk)
+    var m = 0
+    var j = 0
+    while (j < size) { if (member(ws.outIds(j))) { ws.outIds(m) = ws.outIds(j); m += 1 }; j += 1 }
+    val global = java.util.Arrays.copyOf(ws.outIds, m)
     java.util.Arrays.sort(global)
-    // the K_Q slots between two ball vertices
-    (global, g.rows.sub(global, ws.local, i => kQ(i) && ws.stamp(g.neigh(i)) == e)._1)
+    val e = ws.nextEpoch()
+    j = 0
+    while (j < m) { ws.stamp(global(j)) = e; j += 1 }
+    (global, g.rows.sub(global, ws.local, i => (walk == null || walk(i)) && ws.stamp(g.neigh(i)) == e)._1)
   }
 
   /** @return the seed community of `center`, or None if none exists. */
   def extract(g: GraphData, center: Int, r: Int, k: Int, query: Array[Int]): Option[Seed] =
-    if (!g.matchesQuery(center, query)) None
-    else {
-      val (global, rows) = filteredBall(g, center, r, query)
-      fixpoint(global, rows, center, r, k)
-    }
+    if (!g.matchesQuery(center, query)) None else fixpoint(filteredBall(g, center, r, query), center, r, k)
 
   /** [[extract]], started from the center's K_Q ball ([[trussBall]]) instead
     * of its keyword-filtered ball; `kQ` is the K_Q of `query` at `k`. The
@@ -87,29 +84,30 @@ object SeedExtract {
     * it, and the fixpoint from any ball that holds the seed reaches it.
     */
   def extractInTruss(g: GraphData, kQ: Array[Boolean], center: Int, r: Int, k: Int, query: Array[Int]): Option[Seed] =
-    if (!g.matchesQuery(center, query)) None
-    else {
-      val (global, rows) = trussBall(g, kQ, center, r)
-      fixpoint(global, rows, center, r, k)
-    }
+    if (!g.matchesQuery(center, query)) None else fixpoint(trussBall(g, kQ, center, r), center, r, k)
 
-  /** Peel ⇄ radius to the fixpoint on a ball of `center` (sorted members
-    * `global`, their `rows`) that holds its seed community.
+  /** Peel ⇄ radius to the fixpoint on a ball of `center` (its sorted
+    * members and their rows) that holds its seed community. The radius cut
+    * is a [[Workspace.ball]] over the alive slots: every alive slot whose
+    * source it did not reach is cut, and the seed is the last ball.
     */
-  private def fixpoint(global: Array[Int], rows: Truss.Rows, center: Int, r: Int, k: Int): Option[Seed] = {
+  private def fixpoint(ball: (Array[Int], Truss.Rows), center: Int, r: Int, k: Int): Option[Seed] = {
+    val (global, rows) = ball
     val c = java.util.Arrays.binarySearch(global, center)
     val alive = rows.allAlive
+    val ws = Workspace.of(rows.n)
+    var size = 0
     var changed = true
     while (changed) {
       Truss.kTrussPeel(rows, alive, k)
       if (k >= 3 && rows.degree(alive, c) == 0) return None
       // Def. 2 bullet 2 within the current subgraph: a vertex farther than
       // r from the center, or cut off from it, leaves the community
-      val d = Truss.bfsDist(rows, alive, c)
+      size = ws.ball(rows.offsets, rows.neigh, c, r, alive)
       changed = false
-      rows.foreachSlot((v, i) => if (d(v) > r && alive(i)) { rows.cut(alive, i); changed = true })
+      rows.foreachSlot((v, i) => if (alive(i) && !ws.stamped(v)) { rows.cut(alive, i); changed = true })
     }
-    // at the fixpoint every vertex with edges is within r of the center
-    Some(Seed(Array.range(0, rows.n).filter(v => v == c || rows.degree(alive, v) > 0).map(global)))
+    // at the fixpoint the ball is every vertex with an edge, and the center
+    Some(Seed(java.util.Arrays.copyOf(ws.outIds, size).sorted.map(global)))
   }
 }

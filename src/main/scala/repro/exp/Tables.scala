@@ -75,8 +75,8 @@ object Tables {
 
   private def selectors(title: String, rows: Seq[Fig6Row]): Unit =
     show(title,
-      Seq("graph", "param", "value", "WP ms", "WoP ms", "Opt ms", "WP score", "Opt score", "accuracy"),
-      rows.map(r => Seq(r.graph, r.param, r.value, ms(r.wpMs), ms(r.wopMs), ms(r.optMs),
+      Seq("graph", "param", "value", "WP us", "WoP us", "Opt ms", "WP score", "Opt score", "accuracy"),
+      rows.map(r => Seq(r.graph, r.param, r.value, ms(r.wpMs * 1000), ms(r.wopMs * 1000), ms(r.optMs),
         d2(r.wpScore), d2(r.optScore), pct(r.accuracy))))
 
   def fig6d(rows: Seq[Fig6Row]): Unit =

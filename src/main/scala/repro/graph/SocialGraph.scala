@@ -68,43 +68,15 @@ final case class GraphData(
   }
 
   /** Unweighted BFS ball: all vertices within `r` hops of `center`, found
-    * on this thread's [[Workspace]] (epoch-stamped visit marks, so there is
-    * nothing to reset afterwards).
+    * by [[Workspace.ball]] on this thread's workspace, over the raw CSR
+    * arrays (so a broadcast copy never builds [[rows]] for it).
     *
     * @return (vertices in BFS order, parallel hop distances, non-decreasing)
     */
   def hopBall(center: Int, r: Int): (Array[Int], Array[Int]) = {
     val ws = Workspace.of(n)
-    val size = ball(ws, ws.nextEpoch(), center, r, null)
+    val size = ws.ball(offsets, neigh, center, r, null)
     (java.util.Arrays.copyOf(ws.outIds, size), java.util.Arrays.copyOf(ws.outDist, size))
-  }
-
-  /** The BFS of [[hopBall]] over the slots where `alive` holds (every slot
-    * when `alive` is null), on `ws` at epoch `e`: it leaves the ball in
-    * `ws.outIds` / `ws.outDist`, stamps each of its vertices with `e`, and
-    * returns its size.
-    */
-  private[repro] def ball(ws: Workspace, e: Int, center: Int, r: Int, alive: Array[Boolean]): Int = {
-    val order = ws.outIds
-    val dist = ws.outDist
-    order(0) = center; dist(0) = 0; ws.stamp(center) = e
-    var size = 1
-    var head = 0
-    while (head < size && dist(head) < r) {
-      val u = order(head)
-      val du = dist(head) + 1
-      var i = offsets(u)
-      val end = offsets(u + 1)
-      while (i < end) {
-        val v = neigh(i)
-        if ((alive == null || alive(i)) && ws.stamp(v) != e) {
-          ws.stamp(v) = e; order(size) = v; dist(size) = du; size += 1
-        }
-        i += 1
-      }
-      head += 1
-    }
-    size
   }
 }
 

@@ -1,10 +1,11 @@
 package repro.graph
 
-/** Per-thread scratch space of the primitive graph kernels: the hop ball
-  * ([[GraphData.hopBall]]), the K_Q ball of a seed extraction
-  * ([[repro.core.SeedExtract.trussBall]]), the compact rows of the K_Q
-  * core ([[repro.core.TopLICDE.keywordTruss]]) and the MIA expansion
-  * ([[repro.influence.MIA.influencedCpp]]).
+/** Per-thread scratch space of the primitive graph kernels: the one BFS
+  * kernel ([[ball]]: the hop ball of [[GraphData.hopBall]], both balls of
+  * a seed extraction and its radius cut ([[repro.core.SeedExtract]]), the
+  * k-core community of the case study), the compact sub-rows of those
+  * balls and of the K_Q core ([[repro.truss.Truss.Rows.sub]]) and the MIA
+  * expansion ([[repro.influence.MIA.influencedCpp]]).
   *
   * Every array is dense over vertex ids `0 … capacity−1`. A stamp array
   * holds, per vertex, the epoch of the last call that wrote it, so a call
@@ -22,7 +23,7 @@ final class Workspace private (val capacity: Int) {
     */
   private[graph] var epoch = 0
 
-  /** Per-vertex stamp: visited (BFS) or `best` is valid (MIA). */
+  /** Per-vertex stamp: in the ball (BFS), a kept member of an extraction ball, or `best` is valid (MIA). */
   private[repro] val stamp = new Array[Int](capacity)
   /** Per-vertex stamp: settled (MIA). */
   private[repro] val settled = new Array[Int](capacity)
@@ -57,6 +58,36 @@ final class Workspace private (val capacity: Int) {
     epoch += 1
     epoch
   }
+
+  /** BFS from `center` to depth `r` over the rows `offsets`/`neigh`, through
+    * the slots i where `alive(i)` holds (every slot when `alive` is null): it
+    * takes a fresh epoch, stamps the ball, leaves it in `outIds` in BFS order
+    * with its hop distances in `outDist`, and returns its size.
+    */
+  private[repro] def ball(offsets: Array[Int], neigh: Array[Int], center: Int, r: Int, alive: Array[Boolean]): Int = {
+    val e = nextEpoch()
+    outIds(0) = center; outDist(0) = 0; stamp(center) = e
+    var size = 1
+    var head = 0
+    while (head < size && outDist(head) < r) {
+      val u = outIds(head)
+      val du = outDist(head) + 1
+      var i = offsets(u)
+      val end = offsets(u + 1)
+      while (i < end) {
+        val v = neigh(i)
+        if ((alive == null || alive(i)) && stamp(v) != e) {
+          stamp(v) = e; outIds(size) = v; outDist(size) = du; size += 1
+        }
+        i += 1
+      }
+      head += 1
+    }
+    size
+  }
+
+  /** True iff the running call stamped `v`: after [[ball]], iff v is in the ball. */
+  private[repro] def stamped(v: Int): Boolean = stamp(v) == epoch
 
   private[repro] def heapClear(): Unit = heapSize = 0
   private[repro] def heapNonEmpty: Boolean = heapSize > 0

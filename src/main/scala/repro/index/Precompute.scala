@@ -99,9 +99,7 @@ object Precompute {
     require(thetaGrid.nonEmpty && thetaGrid.indices.tail.forall(z => thetaGrid(z - 1) < thetaGrid(z)),
       s"thetaGrid must be non-empty and strictly increasing, got [${thetaGrid.mkString(", ")}]")
     import spark.implicits._
-    spark
-      .range(bcG.value.n.toLong)
-      .repartition(spark.sparkContext.defaultParallelism * 4)
+    spark.range(0L, bcG.value.n.toLong, 1L, spark.sparkContext.defaultParallelism * 4)
       .mapPartitions { it =>
         val g = bcG.value
         val inc = bcInc.value

@@ -1,5 +1,7 @@
 package repro.truss
 
+import repro.graph.Workspace
+
 /** k-core peeling [23]: the maximal subgraph in which every vertex has
   * degree ≥ k. It is the structural-cohesiveness baseline of the paper's
   * case study (Fig. 5), and the cheap pre-filter of the per-query keyword
@@ -51,7 +53,8 @@ object KCore {
   def kCoreCommunity(rows: Truss.Rows, center: Int, k: Int): Array[Int] = {
     val alive = rows.allAlive
     kCorePeel(rows, alive, k)
+    val ws = Workspace.of(rows.n)
     if (rows.degree(alive, center) == 0) Array.emptyIntArray
-    else Truss.bfsDist(rows, alive, center).zipWithIndex.collect { case (d, v) if d < Int.MaxValue => v }
+    else java.util.Arrays.copyOf(ws.outIds, ws.ball(rows.offsets, rows.neigh, center, Int.MaxValue, alive)).sorted
   }
 }

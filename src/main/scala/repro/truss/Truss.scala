@@ -2,11 +2,12 @@ package repro.truss
 
 /** Local (in-memory) k-truss machinery over sorted CSR rows, [[Truss.Rows]]:
   * the whole graph uses `GraphData`'s own `offsets`/`neigh`, and each
-  * keyword-filtered ball, K_Q ball and K_Q core builds small rows of its
-  * own. Every undirected edge has two slots, one per row. An edge is
-  * removed by clearing both slots in an `alive` array parallel to `neigh`;
-  * supports and trussness are arrays parallel to `neigh`, equal on both
-  * slots.
+  * keyword-filtered ball, K_Q ball and K_Q core gets small rows from the one
+  * sub-rows builder, [[Truss.Rows.sub]]; hops over rows are counted by the one
+  * BFS kernel, `repro.graph.Workspace.ball`. Every undirected edge has two
+  * slots, one per row. An edge is removed by clearing both slots in an
+  * `alive` array parallel to `neigh`; supports and trussness are arrays
+  * parallel to `neigh`, equal on both slots.
   *
   * Definitions (paper §II, [16]): the support `sup(e)` of edge e=(u,v) is
   * |N(u) ∩ N(v)|, found by merging the two sorted rows (Wang & Cheng, VLDB
@@ -152,27 +153,6 @@ object Truss {
       removed(i)
       common(rows, alive, i) { (a, b) => drop(a); drop(b) }
     }
-  }
-
-  /** BFS hop distances from `start` over the alive edges; unreachable
-    * vertices get Int.MaxValue.
-    */
-  def bfsDist(rows: Rows, alive: Array[Boolean], start: Int): Array[Int] = {
-    val dist = Array.fill(rows.n)(Int.MaxValue)
-    val queue = new Array[Int](rows.n)
-    dist(start) = 0
-    queue(0) = start
-    var head = 0; var tail = 1
-    while (head < tail) {
-      val u = queue(head); head += 1
-      var i = rows.offsets(u)
-      while (i < rows.offsets(u + 1)) {
-        val v = rows.neigh(i)
-        if (alive(i) && dist(v) == Int.MaxValue) { dist(v) = dist(u) + 1; queue(tail) = v; tail += 1 }
-        i += 1
-      }
-    }
-    dist
   }
 
   /** Full truss decomposition of the alive edges, which it peels away:

@@ -3,7 +3,6 @@ package repro.core
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.SocialGraph
-import repro.truss.Truss
 import repro.{MiniChecks, TestGraphs}
 
 /** Seed-community extraction vs the four Def.-2 constraints. */
@@ -92,9 +91,11 @@ class SeedExtractSpec extends AnyFunSuite with MiniChecks {
             assert(TestGraphs.row(g, u).contains(v), s"phantom edge ($u,$v)")
           }
           val rows = SocialGraph.fromEdges(members.length, edges.map { case (u, v) => (local(u), local(v)) }).rows
-          assert(TestGraphs.isKTruss(TestGraphs.adjOf(rows, rows.allAlive), k), s"k-truss constraint, k=$k")
-          val d = Truss.bfsDist(rows, rows.allAlive, local(c))
-          d.foreach(x => assert(x <= r, s"radius constraint r=$r"))
+          val adj = TestGraphs.adjOf(rows, rows.allAlive)
+          assert(TestGraphs.isKTruss(adj, k), s"k-truss constraint, k=$k")
+          // every member reached from the center within r over the community's edges
+          val d = TestGraphs.bfs(local(c), adj(_))
+          assert(d.size == members.length && d.values.forall(_ <= r), s"radius constraint r=$r")
         }
       }
     }

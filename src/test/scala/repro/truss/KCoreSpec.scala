@@ -135,6 +135,20 @@ class KCoreSpec extends AnyFunSuite with MiniChecks {
     assert(KCore.kCoreCommunity(rows, 5, 3).toSeq == Seq(4, 5, 6, 7))
   }
 
+  test("property: kCoreCommunity equals the center's component of refKCore on random graphs") {
+    var (found, empty) = (0, 0)
+    forAllN3(Gen.chooseNum(4, 18), Gen.chooseNum(1, 30), Gen.chooseNum(1, 5), n = 60) { (n, seed, k) =>
+      val rows = randomRows(n, seed)
+      val core = refKCore(TestGraphs.adjOf(rows, rows.allAlive), k)
+      (0 until n).foreach { c =>
+        val want = if (core(c).isEmpty) Seq.empty else TestGraphs.bfs(c, core(_)).keys.toSeq.sorted
+        assert(KCore.kCoreCommunity(rows, c, k).toSeq == want, s"center $c, k = $k")
+        if (want.isEmpty) empty += 1 else found += 1
+      }
+    }
+    assert(found > 0 && empty > 0, s"$found communities, $empty empty: a side never ran")
+  }
+
   test("kCoreCommunity empty when center peeled") {
     assert(KCore.kCoreCommunity(TestGraphs.bowtie().rows, 4, 2).isEmpty)
   }

@@ -130,25 +130,6 @@ class TrussSpec extends AnyFunSuite with MiniChecks {
     }
   }
 
-  test("bfsDist reachability on a disconnected graph") {
-    val rows = SocialGraph.fromEdges(6, Seq((0, 1), (1, 2), (3, 4))).rows
-    def reach(s: Int) = { val d = Truss.bfsDist(rows, rows.allAlive, s); d.indices.filter(d(_) < Int.MaxValue).toSet }
-    assert(reach(0) == Set(0, 1, 2))
-    assert(reach(3) == Set(3, 4))
-    assert(reach(5) == Set(5))
-  }
-
-  test("bfsDist on a path graph") {
-    val rows = SocialGraph.fromEdges(5, Seq((0, 1), (1, 2), (2, 3), (3, 4))).rows
-    assert(Truss.bfsDist(rows, rows.allAlive, 0).toSeq == Seq(0, 1, 2, 3, 4))
-  }
-
-  test("bfsDist marks unreachable as MaxValue") {
-    val rows = SocialGraph.fromEdges(4, Seq((0, 1))).rows
-    val d = Truss.bfsDist(rows, rows.allAlive, 0)
-    assert(d(2) == Int.MaxValue && d(3) == Int.MaxValue)
-  }
-
   test("checkedRows sorts each row, with the right rev and input order") {
     // rows j = 0..3: (2, 1), (1, 0), (0, 1), (1, 2)
     val (rows, order) = SocialGraph.checkedRows(3, Array(2L, 1L, 0L, 1L), Array(1L, 0L, 1L, 2L))
