@@ -28,8 +28,8 @@ import repro.truss.Truss
   * ([[extract]], the paper's Alg. 3, both baselines and the benchmark's
   * replay) and the much smaller r-ball in the query's keyword truss K_Q
   * ([[extractInTruss]], Alg. 3's `KeywordTruss` rung). One builder makes both:
-  * the BFS [[Workspace.ball]], then [[Truss.Rows.sub]] of the members; the
-  * fixpoint's radius cut is the same BFS over the ball's alive slots.
+  * the BFS [[Workspace.ball]] over G's rows, then [[Truss.Rows.sub]] of the
+  * members; the fixpoint's radius cut is the same BFS over the ball's rows.
   */
 object SeedExtract {
 
@@ -61,7 +61,7 @@ object SeedExtract {
     */
   private def ballRows(g: GraphData, center: Int, r: Int, walk: Array[Boolean], member: Int => Boolean) = {
     val ws = Workspace.of(g.n)
-    val size = ws.ball(g.offsets, g.neigh, center, r, walk)
+    val size = ws.ball(g.rows, center, r, walk)
     var m = 0
     var j = 0
     while (j < size) { if (member(ws.outIds(j))) { ws.outIds(m) = ws.outIds(j); m += 1 }; j += 1 }
@@ -70,7 +70,8 @@ object SeedExtract {
     val e = ws.nextEpoch()
     j = 0
     while (j < m) { ws.stamp(global(j)) = e; j += 1 }
-    (global, g.rows.sub(global, ws.local, i => (walk == null || walk(i)) && ws.stamp(g.neigh(i)) == e)._1)
+    val neigh = g.neigh
+    (global, g.rows.sub(global, ws.local, i => (walk == null || walk(i)) && ws.stamp(neigh(i)) == e)._1)
   }
 
   /** @return the seed community of `center`, or None if none exists. */
@@ -103,7 +104,7 @@ object SeedExtract {
       if (k >= 3 && rows.degree(alive, c) == 0) return None
       // Def. 2 bullet 2 within the current subgraph: a vertex farther than
       // r from the center, or cut off from it, leaves the community
-      size = ws.ball(rows.offsets, rows.neigh, c, r, alive)
+      size = ws.ball(rows, c, r, alive)
       changed = false
       rows.foreachSlot((v, i) => if (alive(i) && !ws.stamped(v)) { rows.cut(alive, i); changed = true })
     }

@@ -160,21 +160,24 @@ object TopLICDE {
     */
   def keywordTruss(g: GraphData, q: Query): Array[Boolean] = {
     val rows = g.rows
-    val matches = new Array[Boolean](g.n)
+    val n = rows.n
+    val offsets = rows.offsets
+    val neigh = rows.neigh
+    val matches = new Array[Boolean](n)
     var v = 0
-    while (v < g.n) {
+    while (v < n) {
       matches(v) = KeywordBV.mayIntersect(g.kwMask(v), q.queryBv) && g.matchesQuery(v, q.keywords)
       v += 1
     }
     // G[V_Q] and each vertex's degree in it
-    val alive = new Array[Boolean](g.neigh.length)
-    val deg = new Array[Int](g.n)
+    val alive = new Array[Boolean](neigh.length)
+    val deg = new Array[Int](n)
     v = 0
-    while (v < g.n) {
+    while (v < n) {
       if (matches(v)) {
-        var i = g.offsets(v)
-        while (i < g.offsets(v + 1)) {
-          if (matches(g.neigh(i))) { alive(i) = true; deg(v) += 1 }
+        var i = offsets(v)
+        while (i < offsets(v + 1)) {
+          if (matches(neigh(i))) { alive(i) = true; deg(v) += 1 }
           i += 1
         }
       }
@@ -184,8 +187,8 @@ object TopLICDE {
       KCore.kCorePeel(rows, alive, q.k - 1, deg)
       val core = new mutable.ArrayBuilder.ofInt
       v = 0
-      while (v < g.n) { if (deg(v) > 0) core.addOne(v); v += 1 }
-      val (coreRows, from) = rows.sub(core.result(), Workspace.of(g.n).local, alive(_))
+      while (v < n) { if (deg(v) > 0) core.addOne(v); v += 1 }
+      val (coreRows, from) = rows.sub(core.result(), Workspace.of(n).local, alive(_))
       val kept = coreRows.allAlive
       Truss.kTrussPeel(coreRows, kept, q.k)
       var s = 0
@@ -252,10 +255,11 @@ object TopLICDE {
     // peeled on the first center that reaches the gate (at k ≤ 2, the first
     // refinement): a query that prunes every center before pays nothing for it
     lazy val kQ = keywordTruss(g, q)
+    val offsets = g.offsets
     def hasKQEdge(v: Int): Boolean = {
-      var i = g.offsets(v)
-      while (i < g.offsets(v + 1) && !kQ(i)) i += 1
-      i < g.offsets(v + 1)
+      var i = offsets(v)
+      while (i < offsets(v + 1) && !kQ(i)) i += 1
+      i < offsets(v + 1)
     }
 
     def refine(v: VertexRef): Unit = {

@@ -9,45 +9,33 @@ import repro.truss.Truss
   * The structure is symmetric (an undirected friendship edge), but each
   * direction carries its own activation probability `p(u,v)` (the weight
   * used by the MIA propagation model), so every undirected edge appears
-  * twice in the CSR arrays — once per direction, each with its weight.
+  * twice in the rows — once per direction, each with its weight.
   *
   * This form is small (a few MB at the scales we run: |V| ≤ 50K) and is
   * broadcast to executors so per-vertex offline pre-computation can run
   * partition-parallel over vertex ranges ("index over graph partitions").
+  * It ships whole: no copy rebuilds G's rows or their reverse-slot array.
   *
-  * @param n        number of vertices, ids are 0 … n−1
-  * @param offsets  CSR row offsets, length n+1
-  * @param neigh    flattened out-neighbour ids, length offsets(n)
+  * @param rows     G's sorted CSR rows over vertices 0 … n−1, as checked by
+  *                 [[SocialGraph.checkedRows]]: the one [[Truss.Rows]] of G
   * @param weight   activation probability p(u → neigh(i)), parallel to `neigh`
   * @param keywords per-vertex sorted keyword sets (exact membership checks)
   * @param kwMask   per-vertex keyword bit vector `v.BV` (pruning filter)
   */
 final case class GraphData(
-    n: Int,
-    offsets: Array[Int],
-    neigh: Array[Int],
+    rows: Truss.Rows,
     weight: Array[Double],
     keywords: Array[Array[Int]],
     kwMask: Array[Long]
 ) extends Serializable {
 
-  /** The rows [[rows]] returns: the builder's checked rows on the driver. */
-  @transient private[graph] var builtRows: Truss.Rows = _
-
-  /** G's sorted rows for the whole-graph truss kernels, with their O(|E|)
-    * reverse-slot array: the one whole-graph [[Truss.Rows]]. The builder
-    * hands over the rows it checked; a copy that a broadcast deserialised
-    * (the field is transient) builds them on first use and keeps them.
-    */
-  def rows: Truss.Rows = {
-    if (builtRows == null) builtRows = Truss.Rows(offsets, neigh)
-    builtRows
-  }
+  /** Of [[rows]]: n vertices, CSR offsets (length n+1), flattened out-neighbour ids. */
+  def n: Int = rows.n
+  def offsets: Array[Int] = rows.offsets
+  def neigh: Array[Int] = rows.neigh
 
   /** Number of undirected edges |E(G)| (each stored twice). */
   def numUndirectedEdges: Long = neigh.length.toLong / 2
-
-  def degree(v: Int): Int = offsets(v + 1) - offsets(v)
 
   /** Iterate out-neighbours of `v` (structure is symmetric). */
   @inline def foreachNeighbor(v: Int)(f: (Int, Double) => Unit): Unit = {
@@ -68,14 +56,13 @@ final case class GraphData(
   }
 
   /** Unweighted BFS ball: all vertices within `r` hops of `center`, found
-    * by [[Workspace.ball]] on this thread's workspace, over the raw CSR
-    * arrays (so a broadcast copy never builds [[rows]] for it).
+    * by [[Workspace.ball]] over [[rows]] on this thread's workspace.
     *
     * @return (vertices in BFS order, parallel hop distances, non-decreasing)
     */
   def hopBall(center: Int, r: Int): (Array[Int], Array[Int]) = {
     val ws = Workspace.of(n)
-    val size = ws.ball(offsets, neigh, center, r, null)
+    val size = ws.ball(rows, center, r, null)
     (java.util.Arrays.copyOf(ws.outIds, size), java.util.Arrays.copyOf(ws.outDist, size))
   }
 }
@@ -190,8 +177,6 @@ object SocialGraph {
       require(w(i) > 0 && w(i) <= 1, s"edge row ($v, ${rows.neigh(i)}) has weight ${w(i)} outside (0, 1]")
     }
     val kw = keywords.map(_.sorted)
-    val g = GraphData(keywords.length, rows.offsets, rows.neigh, w, kw, kw.map(KeywordBV.hashSet(_)))
-    g.builtRows = rows
-    g
+    GraphData(rows, w, kw, kw.map(KeywordBV.hashSet(_)))
   }
 }

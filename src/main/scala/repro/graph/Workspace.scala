@@ -1,9 +1,11 @@
 package repro.graph
 
+import repro.truss.Truss
+
 /** Per-thread scratch space of the primitive graph kernels: the one BFS
-  * kernel ([[ball]]: the hop ball of [[GraphData.hopBall]], both balls of
-  * a seed extraction and its radius cut ([[repro.core.SeedExtract]]), the
-  * k-core community of the case study), the compact sub-rows of those
+  * kernel ([[ball]] over a [[Truss.Rows]]: the hop ball of [[GraphData.hopBall]],
+  * both balls of a seed extraction and its radius cut ([[repro.core.SeedExtract]]),
+  * the k-core community of the case study), the compact sub-rows of those
   * balls and of the K_Q core ([[repro.truss.Truss.Rows.sub]]) and the MIA
   * expansion ([[repro.influence.MIA.influencedCpp]]).
   *
@@ -59,12 +61,14 @@ final class Workspace private (val capacity: Int) {
     epoch
   }
 
-  /** BFS from `center` to depth `r` over the rows `offsets`/`neigh`, through
-    * the slots i where `alive(i)` holds (every slot when `alive` is null): it
-    * takes a fresh epoch, stamps the ball, leaves it in `outIds` in BFS order
-    * with its hop distances in `outDist`, and returns its size.
+  /** BFS from `center` to depth `r` over `rows`, through the slots i where
+    * `alive(i)` holds (every slot when `alive` is null): it takes a fresh
+    * epoch, stamps the ball, leaves it in `outIds` in BFS order with its hop
+    * distances in `outDist`, and returns its size.
     */
-  private[repro] def ball(offsets: Array[Int], neigh: Array[Int], center: Int, r: Int, alive: Array[Boolean]): Int = {
+  private[repro] def ball(rows: Truss.Rows, center: Int, r: Int, alive: Array[Boolean]): Int = {
+    val offsets = rows.offsets
+    val neigh = rows.neigh
     val e = nextEpoch()
     outIds(0) = center; outDist(0) = 0; stamp(center) = e
     var size = 1

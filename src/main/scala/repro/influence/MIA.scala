@@ -55,6 +55,9 @@ object MIA {
     */
   def influencedCpp(g: GraphData, seed: Array[Int], theta: Double): Cpp = {
     if (seed.isEmpty || theta > 1.0) return Cpp.Empty
+    val offsets = g.offsets
+    val neigh = g.neigh
+    val weight = g.weight
     val ws = Workspace.of(g.n)
     val e = ws.nextEpoch()
     ws.heapClear()
@@ -73,11 +76,11 @@ object MIA {
       if (p == ws.best(u) && ws.settled(u) != e) {
         ws.settled(u) = e
         ws.outIds(size) = u; ws.outProbs(size) = p; size += 1
-        var j = g.offsets(u)
-        val end = g.offsets(u + 1)
+        var j = offsets(u)
+        val end = offsets(u + 1)
         while (j < end) {
-          val v = g.neigh(j)
-          val np = p * g.weight(j)
+          val v = neigh(j)
+          val np = p * weight(j)
           if (np >= theta && ws.settled(v) != e && np > (if (ws.stamp(v) == e) ws.best(v) else 0.0)) {
             ws.stamp(v) = e; ws.best(v) = np
             ws.push(np, v)

@@ -55,6 +55,6 @@ object KCore {
     kCorePeel(rows, alive, k)
     val ws = Workspace.of(rows.n)
     if (rows.degree(alive, center) == 0) Array.emptyIntArray
-    else java.util.Arrays.copyOf(ws.outIds, ws.ball(rows.offsets, rows.neigh, center, Int.MaxValue, alive)).sorted
+    else java.util.Arrays.copyOf(ws.outIds, ws.ball(rows, center, Int.MaxValue, alive)).sorted
   }
 }

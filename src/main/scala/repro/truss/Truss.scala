@@ -1,7 +1,7 @@
 package repro.truss
 
 /** Local (in-memory) k-truss machinery over sorted CSR rows, [[Truss.Rows]]:
-  * the whole graph uses `GraphData`'s own `offsets`/`neigh`, and each
+  * the whole graph's are the ones `GraphData` holds, `GraphData.rows`, and each
   * keyword-filtered ball, K_Q ball and K_Q core gets small rows from the one
   * sub-rows builder, [[Truss.Rows.sub]]; hops over rows are counted by the one
   * BFS kernel, `repro.graph.Workspace.ball`. Every undirected edge has two

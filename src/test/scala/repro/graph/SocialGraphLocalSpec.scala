@@ -2,7 +2,8 @@ package repro.graph
 
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.Query
+import repro.core.{Query, SeedExtract, TopLICDE}
+import repro.influence.MIA
 import repro.{MiniChecks, TestGraphs}
 
 /** GraphData invariants and local BFS vs reference. */
@@ -34,13 +35,51 @@ class SocialGraphLocalSpec extends AnyFunSuite with MiniChecks {
     rejects(SocialGraph.fromEdges(3, Seq((0, 1), (1, -1))), "outside 0..n-1", "(1, -1)")
   }
 
-  test("degree and rows are consistent") {
+  test("adjacency rows are sorted") {
     forAllN2(Gen.chooseNum(3, 20), Gen.chooseNum(1, 20), n = 30) { (n, seed) =>
       val g = TestGraphs.random(n, 0.4, seed = seed.toLong)
       (0 until n).foreach { v =>
         val row = TestGraphs.row(g, v)
-        assert(g.degree(v) == row.length)
         assert(row.toSeq == row.sorted.toSeq, "adjacency sorted")
+      }
+    }
+  }
+
+  /** `g` after Java serialisation and back: the copy a broadcast hands an executor. */
+  private def shipped(g: GraphData): GraphData = {
+    val bytes = new java.io.ByteArrayOutputStream
+    val out = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(g)
+    out.close()
+    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[GraphData]
+  }
+
+  test("a serialised copy of G holds G's rows and gives G's answers") {
+    val cases = Seq(TestGraphs.random(30, 0.3, seed = 5L) -> Array(0, 1, 2, 3), TestGraphs.twoK4Tie() -> Array(0))
+    cases.foreach { case (g, keywords) =>
+      val c = shipped(g)
+      assert(!(c.rows eq g.rows))
+      assert(c.rows.offsets.sameElements(g.rows.offsets) && c.rows.neigh.sameElements(g.rows.neigh))
+      assert(c.rows.rev.sameElements(g.rows.rev))
+      assert(c.weight.sameElements(g.weight) && c.kwMask.sameElements(g.kwMask))
+      def members(s: Option[SeedExtract.Seed]) = s.map(_.vertices.toSeq)
+      for (k <- 2 to 4; r <- 1 to 2) {
+        val q = Query(keywords, k, r, 0.2, 1)
+        val kQ = TopLICDE.keywordTruss(c, q)
+        assert(kQ.sameElements(TopLICDE.keywordTruss(g, q)), s"K_Q, k = $k")
+        (0 until g.n).foreach { v =>
+          assert(members(SeedExtract.extract(c, v, r, k, keywords)) == members(SeedExtract.extract(g, v, r, k, keywords)))
+          assert(members(SeedExtract.extractInTruss(c, kQ, v, r, k, keywords)) ==
+            members(SeedExtract.extractInTruss(g, kQ, v, r, k, keywords)))
+        }
+      }
+      (0 until g.n).foreach { v =>
+        val (ball, dist) = c.hopBall(v, 2)
+        val (want, wantDist) = g.hopBall(v, 2)
+        assert(ball.sameElements(want) && dist.sameElements(wantDist), s"hopBall($v, 2)")
+        val cpp = MIA.influencedCpp(c, Array(v), 0.2)
+        val wantCpp = MIA.influencedCpp(g, Array(v), 0.2)
+        assert(cpp.ids.sameElements(wantCpp.ids) && cpp.probs.sameElements(wantCpp.probs), s"cpp($v)")
       }
     }
   }

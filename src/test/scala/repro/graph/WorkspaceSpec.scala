@@ -16,7 +16,7 @@ class WorkspaceSpec extends AnyFunSuite {
     */
   private def reach(rows: repro.truss.Truss.Rows, s: Int): Seq[(Int, Int)] = {
     val ws = Workspace.of(rows.n)
-    val size = ws.ball(rows.offsets, rows.neigh, s, Int.MaxValue, rows.allAlive)
+    val size = ws.ball(rows, s, Int.MaxValue, rows.allAlive)
     ws.outIds.take(size).toSeq.zip(ws.outDist.take(size).toSeq)
   }
 
