@@ -19,8 +19,9 @@ import scala.collection.mutable
   *
   * The coverage of S is a dense `Array[Double]` over vertex ids, read and
   * raised through each candidate's [[repro.influence.MIA.Cpp]] arrays. A
-  * selector reads each candidate's `cpp` once: an answer expands it again
-  * on each read.
+  * selector reads each candidate's `cpp` once: a slim answer expands it
+  * again on each read, one of Alg. 3's own candidates (`Pipeline.Built.dTopL`)
+  * hands over the arrays that scored it.
   */
 object DTopL {
 
@@ -98,12 +99,10 @@ object DTopL {
     * other true ΔD (each is ≤ its stale bound), and a tie goes to the
     * smallest index in both.
     */
-  def greedyWP(cands: IndexedSeq[Community], l: Int): DResult = greedyWP(cands, cands.map(_.cpp), l)
-
-  /** [[greedyWP]] over candidates whose g^Inf arrays are `cpps`, in order. */
-  private[core] def greedyWP(cands: IndexedSeq[Community], cpps: IndexedSeq[Cpp], l: Int): DResult = {
+  def greedyWP(cands: IndexedSeq[Community], l: Int): DResult = {
     val L = math.min(l, cands.length)
     var evals = 0L
+    val cpps = cands.map(_.cpp)
     val cover = coverFor(cpps)
     val selected = mutable.ArrayBuffer[Int]()
     // heap entries: (upper bound on ΔD, candidate index); g.round per index

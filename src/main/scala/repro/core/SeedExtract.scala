@@ -29,7 +29,8 @@ import repro.truss.Truss
   * replay) and the much smaller r-ball in the query's keyword truss K_Q
   * ([[extractInTruss]], Alg. 3's `KeywordTruss` rung). One builder makes both:
   * the BFS [[Workspace.ball]] over G's rows, then [[Truss.Rows.sub]] of the
-  * members; the fixpoint's radius cut is the same BFS over the ball's rows.
+  * members, which drops the slots that leave them, so extraction marks no
+  * vertex itself; the fixpoint's radius cut is the same BFS over the ball's rows.
   */
 object SeedExtract {
 
@@ -56,8 +57,8 @@ object SeedExtract {
   /** The one builder of both balls: the BFS to depth r from `center` over
     * G's slots where `walk` holds (every slot when null), on this thread's
     * [[Workspace]]; the ball vertices that pass `member`, sorted; and their
-    * sub-rows ([[Truss.Rows.sub]]) of the slots that `walk` holds and that
-    * lead to a member.
+    * sub-rows ([[Truss.Rows.sub]], which drops the slots that leave them) of
+    * the slots that `walk` holds.
     */
   private def ballRows(g: GraphData, center: Int, r: Int, walk: Array[Boolean], member: Int => Boolean) = {
     val ws = Workspace.of(g.n)
@@ -67,11 +68,7 @@ object SeedExtract {
     while (j < size) { if (member(ws.outIds(j))) { ws.outIds(m) = ws.outIds(j); m += 1 }; j += 1 }
     val global = java.util.Arrays.copyOf(ws.outIds, m)
     java.util.Arrays.sort(global)
-    val e = ws.nextEpoch()
-    j = 0
-    while (j < m) { ws.stamp(global(j)) = e; j += 1 }
-    val neigh = g.neigh
-    (global, g.rows.sub(global, ws.local, i => (walk == null || walk(i)) && ws.stamp(neigh(i)) == e)._1)
+    (global, g.rows.sub(global, ws.local, i => walk == null || walk(i))._1)
   }
 
   /** @return the seed community of `center`, or None if none exists. */
@@ -106,7 +103,7 @@ object SeedExtract {
       // r from the center, or cut off from it, leaves the community
       size = ws.ball(rows, c, r, alive)
       changed = false
-      rows.foreachSlot((v, i) => if (alive(i) && !ws.stamped(v)) { rows.cut(alive, i); changed = true })
+      rows.foreachSlot((v, i) => if (alive(i) && !ws.inBall(v)) { rows.cut(alive, i); changed = true })
     }
     // at the fixpoint the ball is every vertex with an edge, and the center
     Some(Seed(java.util.Arrays.copyOf(ws.outIds, size).sorted.map(global)))

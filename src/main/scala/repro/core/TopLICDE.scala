@@ -26,9 +26,10 @@ final case class Query(
 /** A seed community answer: its center (where it was found, not part of
   * its identity), sorted member vertices and influential score σ(g).
   * `influenced` gives its influenced community g^Inf as MIA's id/cpp arrays
-  * (for DTopL-ICDE diversity), and `sigma` is their σ. An answer does not
-  * hold those arrays: [[Community.influenced]] expands them again on each
-  * read (DESIGN "Answers recompute g^Inf").
+  * (for DTopL-ICDE diversity), and `sigma` is their σ. Inside Alg. 3 a
+  * candidate holds the arrays that scored it; an answer that leaves it is
+  * [[slim]] and does not: [[Community.influenced]] expands them again on
+  * each read (DESIGN "Answers recompute g^Inf").
   */
 final case class Community(
     center: Int,
@@ -38,6 +39,9 @@ final case class Community(
 
   /** g^Inf, from `influenced`. */
   def cpp: MIA.Cpp = influenced()
+
+  /** This community, expanding its g^Inf at θ again on each read. */
+  def slim(g: GraphData, theta: Double): Community = copy(influenced = Community.influenced(g, vertices, theta))
 
   override def toString: String =
     f"Community(center=$center, |V|=${vertices.length}, σ=$sigma%.3f)"
@@ -75,15 +79,9 @@ object Community {
   def influenced(g: GraphData, vertices: Array[Int], theta: Double): () => MIA.Cpp =
     () => MIA.influencedCpp(g, vertices, theta)
 
-  /** A seed community scored by the MIA expansion `cpp` of its `vertices`
-    * at θ, which it does not keep.
-    */
-  def scored(g: GraphData, center: Int, vertices: Array[Int], theta: Double, cpp: MIA.Cpp): Community =
-    Community(center, vertices, cpp.sigma, influenced(g, vertices, theta))
-
-  /** Score a seed community: one MIA expansion of `vertices` to g^Inf. */
+  /** Score a seed community: one MIA expansion of `vertices` to g^Inf, which it does not keep. */
   def scored(g: GraphData, center: Int, vertices: Array[Int], theta: Double): Community =
-    scored(g, center, vertices, theta, MIA.influencedCpp(g, vertices, theta))
+    Community(center, vertices, MIA.influencedCpp(g, vertices, theta).sigma, influenced(g, vertices, theta))
 }
 
 /** Alg. 3's pruning: one rung of the Fig. 4 ladder, which runs the rung
@@ -202,34 +200,31 @@ object TopLICDE {
     * of the ladder; every rung returns the same answers, and the default is
     * the top one. Score pruning and heap termination cut only bounds
     * strictly below σ_L: a bound equal to σ_L can still hide a tied
-    * community with a smaller vertex array.
+    * community with a smaller vertex array. The answers are slim
+    * ([[Community.slim]]): they hold no g^Inf.
     */
   def run(
       g: GraphData,
       index: Node,
       thetaGrid: Array[Double],
       q: Query,
-      pruning: Pruning = Pruning.KeywordTruss): TopLResult =
-    search(g, index, thetaGrid, q, pruning, keep = false)._1
+      pruning: Pruning = Pruning.KeywordTruss): TopLResult = {
+    val res = search(g, index, thetaGrid, q, pruning)
+    res.copy(communities = res.communities.map(_.slim(g, q.theta)))
+  }
 
-  /** [[run]], and with `keep` the g^Inf arrays of its answers, in answer
-    * order: the expansions that scored them, handed to the DTopL greedy so
-    * that it does not expand them again (empty without `keep`).
+  /** [[run]], with answers that hold the g^Inf arrays that scored them,
+    * for the DTopL greedy (`Pipeline.Built.dTopL`) to read without
+    * expanding them again. A community that drops out of the top L becomes
+    * garbage at once.
     */
-  private[core] def search(
-      g: GraphData,
-      index: Node,
-      thetaGrid: Array[Double],
-      q: Query,
-      pruning: Pruning,
-      keep: Boolean): (TopLResult, IndexedSeq[MIA.Cpp]) = {
+  private[core] def search(g: GraphData, index: Node, thetaGrid: Array[Double], q: Query, pruning: Pruning): TopLResult = {
     val stats = new PruneStats
     val ri = q.r - 1
     require(q.r <= index.agg.rMax, s"index built for r_max=${index.agg.rMax}, query r=${q.r}")
     val zi = thetaZIndex(thetaGrid, q.theta)
     val best = new Community.Best(q.L)
     val seen = mutable.HashSet[immutable.ArraySeq[Int]]()
-    val held = mutable.HashMap[immutable.ArraySeq[Int], MIA.Cpp]()
 
     def ubSigma(agg: TreeIndex.Agg): Double =
       if (zi >= 0) agg.sigmas(ri)(zi) else Double.PositiveInfinity
@@ -255,12 +250,6 @@ object TopLICDE {
     // peeled on the first center that reaches the gate (at k ≤ 2, the first
     // refinement): a query that prunes every center before pays nothing for it
     lazy val kQ = keywordTruss(g, q)
-    val offsets = g.offsets
-    def hasKQEdge(v: Int): Boolean = {
-      var i = offsets(v)
-      while (i < offsets(v + 1) && !kQ(i)) i += 1
-      i < offsets(v + 1)
-    }
 
     def refine(v: VertexRef): Unit = {
       stats.refined += 1
@@ -272,12 +261,10 @@ object TopLICDE {
         case Some(s) =>
           // dedup BEFORE the σ computation: the same community reached
           // from several of its members is scored once
-          val key = Community.key(s.vertices)
-          if (!seen.add(key)) stats.duplicates += 1
+          if (!seen.add(Community.key(s.vertices))) stats.duplicates += 1
           else {
             val cpp = MIA.influencedCpp(g, s.vertices, q.theta)
-            if (keep) held(key) = cpp
-            best.offer(Community.scored(g, v.id, s.vertices, q.theta, cpp))
+            best.offer(Community(v.id, s.vertices, cpp.sigma, () => cpp))
           }
       }
     }
@@ -302,7 +289,7 @@ object TopLICDE {
               stats.vertexKeywordPruned += 1
             else if (!pruned(v.agg, vertexLevel = true, weight = 1)) {
               // last, as it scans v's row: the O(1) tests above go first
-              if (pruning == Pruning.KeywordTruss && q.k >= 3 && !hasKQEdge(v.id)) stats.vertexTrussPruned += 1
+              if (pruning == Pruning.KeywordTruss && q.k >= 3 && g.rows.degree(kQ, v.id) == 0) stats.vertexTrussPruned += 1
               else refine(v)
             }
           }
@@ -313,7 +300,6 @@ object TopLICDE {
           }
       }
     }
-    val answers = best.answers
-    (TopLResult(answers, stats), if (keep) answers.map(c => held(Community.key(c.vertices))).toIndexedSeq else IndexedSeq.empty)
+    TopLResult(best.answers, stats)
   }
 }

@@ -272,17 +272,28 @@ object Experiments {
       Community(c.center, c.vertices, c.sigma, () => cpp)
     }
 
-  /** WP and WoP alternating over 25 runs of well under 1 ms, as in [[fig2]], after 1 s of untimed
-    * ones, which the JIT needs after a graph build: (WP's selection, median WP ms, median WoP ms).
+  /** WP and WoP per call, in ms, on each (candidates, L) of `sets`: medians over 25 rounds, each of
+    * which times one batch of WP and one of WoP on every set in turn (as [[fig2]] alternates), so that
+    * a slow phase of the host falls on a few rounds of every set, not on all of one set's. First come
+    * a full GC, as the graph builds leave the heap full, and 1 s of untimed rounds, which the JIT
+    * needs; they also size each batch to last ≥ 1 ms, as one call of well under 1 ms is too short to
+    * time. An untimed call before each batch brings its set's arrays back into cache.
+    * Returns, per set, (WP's selection, median WP ms, median WoP ms).
     */
-  private def greedyMs(cands: IndexedSeq[Community], l: Int): (DTopL.DResult, Double, Double) = {
+  private def greedyMs(sets: Seq[(IndexedSeq[Community], Int)]): Seq[(DTopL.DResult, Double, Double)] = {
+    val calls = sets.toIndexedSeq.flatMap { case (c, l) => Seq(() => DTopL.greedyWP(c, l), () => DTopL.greedyWoP(c, l)) }
+    System.gc()
+    val warmMs = new Array[Double](calls.length)
+    var rounds = 0
     val warm = System.nanoTime() + 1000000000L
-    while (System.nanoTime() < warm) { DTopL.greedyWP(cands, l); DTopL.greedyWoP(cands, l) }
-    val runs = (1 to 25).map { _ =>
-      val (wp, wpMs) = timeMs(DTopL.greedyWP(cands, l))
-      (wp, wpMs, timeMs(DTopL.greedyWoP(cands, l))._2)
-    }
-    (runs.head._1, median(runs.map(_._2)), median(runs.map(_._3)))
+    while (System.nanoTime() < warm) { calls.indices.foreach(i => warmMs(i) += timeMs(calls(i)())._2); rounds += 1 }
+    val batch = warmMs.map(ms => math.ceil(rounds / ms).toInt) // calls in ≥ 1 ms
+    val perCall = (1 to 25).map(_ => calls.indices.map { i =>
+      val call = calls(i)
+      call()
+      timeMs((1 to batch(i)).foreach(_ => call()))._2 / batch(i)
+    })
+    sets.indices.map(s => (calls(2 * s)(), median(perCall.map(_(2 * s))), median(perCall.map(_(2 * s + 1)))))
   }
 
   /** Fig. 6(a): the three selectors at defaults on all five graphs.
@@ -290,30 +301,28 @@ object Experiments {
     * it sees to keep the bench finite (noted in EXPERIMENTS.md).
     */
   def fig6a(spark: SparkSession, optCap: Int = 25): Seq[Fig6Row] = {
-    val cases = synthetic(spark, DefaultN) ++ likeGraphs(spark)
-    cases.map { c =>
-      val built = buildCached(spark, c.name, c.gf)
-      val q = query()
-      val cands = candidatesFor(built, q, DefaultNDiv)
-      val (wp, wpMs, wopMs) = greedyMs(cands, q.L)
+    val q = query()
+    val cases = (synthetic(spark, DefaultN) ++ likeGraphs(spark))
+      .map(c => (c.name, candidatesFor(buildCached(spark, c.name, c.gf), q, DefaultNDiv)))
+    cases.zip(greedyMs(cases.map(c => (c._2, q.L)))).map { case ((name, cands), (wp, wpMs, wopMs)) =>
       val (opt, optMs) = timeMs(DTopL.optimal(cands.take(optCap), q.L))
-      Fig6Row(c.name, "default", "-", wpMs, wopMs, optMs, wp.score, opt.score)
+      Fig6Row(name, "default", "-", wpMs, wopMs, optMs, wp.score, opt.score)
     }
   }
 
   /** Fig. 6(b)/(c): L and n sweeps (greedy selectors only, like the paper's
-    * timing curves).
+    * timing curves), all timed together.
     */
-  def fig6bc(spark: SparkSession): Seq[Fig6Row] =
-    synthetic(spark, DefaultN).flatMap { c =>
+  def fig6bc(spark: SparkSession): Seq[Fig6Row] = {
+    val cells = synthetic(spark, DefaultN).flatMap { c =>
       val built = buildCached(spark, c.name, c.gf)
-      def greedy(param: String, value: Int, q: Query, nDiv: Int): Fig6Row = {
-        val (wp, wpMs, wopMs) = greedyMs(candidatesFor(built, q, nDiv), q.L)
-        Fig6Row(c.name, param, value.toString, wpMs, wopMs, 0.0, wp.score, 0.0)
-      }
-      TableIII.Ls.map(l => greedy("L", l, query(l = l), DefaultNDiv)) ++
-        TableIII.Ns.map(nd => greedy("n", nd, query(), nd))
+      TableIII.Ls.map(l => (c.name, "L", l, candidatesFor(built, query(l = l), DefaultNDiv), l)) ++
+        TableIII.Ns.map(nd => (c.name, "n", nd, candidatesFor(built, query(), nd), query().L))
     }
+    cells.zip(greedyMs(cells.map(c => (c._4, c._5)))).map { case ((graph, param, value, _, _), (wp, wpMs, wopMs)) =>
+      Fig6Row(graph, param, value.toString, wpMs, wopMs, 0.0, wp.score, 0.0)
+    }
+  }
 
   /** Fig. 6(d): DTopL scalability in |V| (reuses the Fig. 3h builds). */
   def fig6d(spark: SparkSession, sizes: Seq[Long] = ScaleSweep): Seq[Fig6Row] =
@@ -326,13 +335,14 @@ object Experiments {
     * keyword distribution yields a non-trivial candidate pool at this
     * small scale (k = 4 leaves the Gaussian graph without answers).
     */
-  def fig6e(spark: SparkSession): Seq[Fig6Row] =
-    synthetic(spark, 1000L).map { c =>
-      val built = buildCached(spark, s"${c.name}-acc1k", c.gf)
-      val q = query(k = 3, l = 3)
-      val cands = candidatesFor(built, q, DefaultNDiv).take(18) // C(18,3) = 816 subsets
-      val (wp, wpMs, wopMs) = greedyMs(cands, q.L)
-      val (opt, optMs) = timeMs(DTopL.optimal(cands, q.L))
-      Fig6Row(c.name, "accuracy", "|V|=1K", wpMs, wopMs, optMs, wp.score, opt.score)
+  def fig6e(spark: SparkSession): Seq[Fig6Row] = {
+    val q = query(k = 3, l = 3)
+    val cases = synthetic(spark, 1000L).map { c =>
+      (c.name, candidatesFor(buildCached(spark, s"${c.name}-acc1k", c.gf), q, DefaultNDiv).take(18)) // C(18,3) = 816 subsets
     }
+    cases.zip(greedyMs(cases.map(c => (c._2, q.L)))).map { case ((name, cands), (wp, wpMs, wopMs)) =>
+      val (opt, optMs) = timeMs(DTopL.optimal(cands, q.L))
+      Fig6Row(name, "accuracy", "|V|=1K", wpMs, wopMs, optMs, wp.score, opt.score)
+    }
+  }
 }

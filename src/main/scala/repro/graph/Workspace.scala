@@ -10,7 +10,8 @@ import repro.truss.Truss
   * expansion ([[repro.influence.MIA.influencedCpp]]).
   *
   * Every array is dense over vertex ids `0 … capacity−1`. A stamp array
-  * holds, per vertex, the epoch of the last call that wrote it, so a call
+  * holds, per vertex, the epoch of the last call that wrote it (only [[ball]]
+  * and MIA write stamps; `local` is a sparse set instead), so a call
   * starts by taking a fresh epoch ([[nextEpoch]]) instead of clearing
   * anything: an entry is valid only where its stamp equals the current
   * epoch. Kernels do not nest, so one epoch counter serves all of them,
@@ -25,7 +26,7 @@ final class Workspace private (val capacity: Int) {
     */
   private[graph] var epoch = 0
 
-  /** Per-vertex stamp: in the ball (BFS), a kept member of an extraction ball, or `best` is valid (MIA). */
+  /** Per-vertex stamp: in the ball (BFS), or `best` is valid (MIA). */
   private[repro] val stamp = new Array[Int](capacity)
   /** Per-vertex stamp: settled (MIA). */
   private[repro] val settled = new Array[Int](capacity)
@@ -37,9 +38,10 @@ final class Workspace private (val capacity: Int) {
   private[repro] val outIds = new Array[Int](capacity)
   private[repro] val outDist = new Array[Int](capacity)
   private[repro] val outProbs = new Array[Double](capacity)
-  /** Local ids of compact sub-rows ([[repro.truss.Truss.Rows.sub]]): a
-    * K_Q ball vertex's, valid where `stamp` is current, or a K_Q core
-    * vertex's while K_Q is peeled.
+  /** Local ids of compact sub-rows ([[repro.truss.Truss.Rows.sub]]): an
+    * entry l of vertex t is valid iff l < m and global(l) == t for the
+    * sub-rows' m sorted members `global` (a sparse set, so it is never
+    * cleared); stale entries are never negative.
     */
   private[repro] val local = new Array[Int](capacity)
 
@@ -90,8 +92,8 @@ final class Workspace private (val capacity: Int) {
     size
   }
 
-  /** True iff the running call stamped `v`: after [[ball]], iff v is in the ball. */
-  private[repro] def stamped(v: Int): Boolean = stamp(v) == epoch
+  /** True iff `v` is in the last [[ball]] (the running call stamped it). */
+  private[repro] def inBall(v: Int): Boolean = stamp(v) == epoch
 
   private[repro] def heapClear(): Unit = heapSize = 0
   private[repro] def heapNonEmpty: Boolean = heapSize > 0

@@ -55,33 +55,36 @@ object Truss {
       d
     }
 
-    /** The sub-rows of the slots i where `keep(i)` holds, over the sorted
-      * vertices `global`; every kept slot lies in a row of `global` and
-      * leads into it. Local id j is vertex global(j): the ids follow the
-      * global order, so each sub-row comes out sorted. `local` is scratch
-      * over this rows' vertices, left holding each member's local id.
-      * Returns the sub-rows and, per sub-slot, the slot it copies.
+    /** The sub-rows of G[`global`] (`global` sorted) keeping the slots i where
+      * `keep(i)` holds. Local id j is vertex global(j), so each sub-row comes
+      * out sorted. `local` is scratch over this rows' vertices with no negative
+      * entry, left holding each member's local id: slot i leads to a member t
+      * iff l = local(t) < global.length and global(l) == t, a sparse-set test
+      * that holds whatever else `local` contained. Returns the sub-rows and,
+      * per sub-slot, its slot.
       */
     def sub(global: Array[Int], local: Array[Int], keep: Int => Boolean): (Rows, Array[Int]) = {
+      val m = global.length
       var j = 0
-      while (j < global.length) { local(global(j)) = j; j += 1 }
-      val subOffsets = new Array[Int](global.length + 1)
+      while (j < m) { local(global(j)) = j; j += 1 }
+      def kept(i: Int): Boolean = keep(i) && { val t = neigh(i); local(t) < m && global(local(t)) == t }
+      val subOffsets = new Array[Int](m + 1)
       j = 0
-      while (j < global.length) {
+      while (j < m) {
         var c = 0
         var i = offsets(global(j))
-        while (i < offsets(global(j) + 1)) { if (keep(i)) c += 1; i += 1 }
+        while (i < offsets(global(j) + 1)) { if (kept(i)) c += 1; i += 1 }
         subOffsets(j + 1) = subOffsets(j) + c
         j += 1
       }
-      val from = new Array[Int](subOffsets(global.length))
+      val from = new Array[Int](subOffsets(m))
       val subNeigh = new Array[Int](from.length)
       var s = 0
       j = 0
-      while (j < global.length) {
+      while (j < m) {
         var i = offsets(global(j))
         while (i < offsets(global(j) + 1)) {
-          if (keep(i)) { from(s) = i; subNeigh(s) = local(neigh(i)); s += 1 }
+          if (kept(i)) { from(s) = i; subNeigh(s) = local(neigh(i)); s += 1 }
           i += 1
         }
         j += 1

@@ -66,11 +66,14 @@ class GeneratedGraphCorrectnessSpec extends SparkSpec {
   private def bits(x: Double): Long = java.lang.Double.doubleToRawLongBits(x)
 
   /** Each answer's `cpp`, expanded again on read, is a fresh
-    * `MIA.influencedCpp` of its members, bit for bit, and σ is its sum.
+    * `MIA.influencedCpp` of its members, bit for bit, and σ is its sum:
+    * two reads return distinct arrays, so the answer holds none.
     */
   private def assertRecomputes(g: GraphData, q: Query, cs: Seq[Community], clue: String): Unit =
     cs.foreach { c =>
       val got = c.cpp
+      val again = c.cpp
+      assert((got.ids ne again.ids) && got.ids.sameElements(again.ids), s"$clue: $c holds its g^Inf")
       val want = MIA.influencedCpp(g, c.vertices, q.theta)
       assert(got.ids.sameElements(want.ids), s"$clue: ids of $c")
       assert(got.probs.map(bits).sameElements(want.probs.map(bits)), s"$clue: probs of $c")
@@ -87,6 +90,7 @@ class GeneratedGraphCorrectnessSpec extends SparkSpec {
         try queries.foreach { q =>
           val clue = s"$name/$q"
           assertRecomputes(g, q, built.topL(q).communities, s"$clue Alg. 3")
+          assertRecomputes(g, q, built.topL(q, Pruning.Score).communities, s"$clue Alg. 3 (Score)")
           assertRecomputes(g, q, ATindex.query(g, off, q)._1, s"$clue ATindex")
           assertRecomputes(g, q, BruteForce.topL(spark, bcG, q), s"$clue BruteForce")
           Seq(1, 2, 4).foreach { n =>

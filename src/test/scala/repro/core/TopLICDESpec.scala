@@ -195,9 +195,6 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
     }
   }
 
-  private def hasKQEdge(g: GraphData, kQ: Array[Boolean], v: Int): Boolean =
-    (g.offsets(v) until g.offsets(v + 1)).exists(kQ(_))
-
   test("property: keywordTruss is refKTruss of G[V_Q], slot by slot") {
     val gen = Gen.zip(
       Gen.chooseNum(4, 30),        // n
@@ -288,7 +285,7 @@ class TopLICDESpec extends AnyFunSuite with MiniChecks {
       val g = TestGraphs.random(n, 0.2 + 0.3 * rnd.nextDouble(), sigma = 5, kwPerVertex = 2, seed = seed.toLong)
       val q = Query(rnd.shuffle((0 until 5).toList).take(qSize).toArray, k, r, 0.2, 1)
       val kQ = TopLICDE.keywordTruss(g, q)
-      (0 until g.n).filterNot(hasKQEdge(g, kQ, _)).foreach { v =>
+      (0 until g.n).filterNot(g.rows.degree(kQ, _) > 0).foreach { v =>
         // the gate fires on it: v matches Q and keeps an edge in G[V_Q]
         if (g.matchesQuery(v, q.keywords) && TestGraphs.row(g, v).exists(g.matchesQuery(_, q.keywords))) fired += 1
         assert(TestGraphs.refSeed(g, v, r, k, q.keywords).isEmpty, s"center $v has no K_Q edge but has a community")

@@ -36,7 +36,7 @@ class WorkspaceSpec extends AnyFunSuite {
     val rows = SocialGraph.fromEdges(4, Seq((0, 1))).rows
     assert(reach(rows, 0).map(_._1) == Seq(0, 1))
     val ws = Workspace.of(rows.n)
-    assert(ws.stamped(0) && ws.stamped(1) && !ws.stamped(2) && !ws.stamped(3))
+    assert(ws.inBall(0) && ws.inBall(1) && !ws.inBall(2) && !ws.inBall(3))
   }
 
   private val small = TestGraphs.random(12, 0.3, seed = 3L)

@@ -130,6 +130,28 @@ class TrussSpec extends AnyFunSuite with MiniChecks {
     }
   }
 
+  test("property: sub keeps the kept slots between members, whatever local contained") {
+    forAllN2(Gen.chooseNum(1, 24), Gen.chooseNum(1, 200), n = 80) { (n, seed) =>
+      val rnd = new Random(seed.toLong)
+      val rows = randomRows(n, 0.4, seed.toLong)
+      val global = (0 until n).filter(_ => rnd.nextBoolean()).toArray
+      // the mask also admits slots that leave `global`, and the scratch holds garbage
+      val keep = Array.fill(rows.neigh.length)(rnd.nextDouble() < 0.7)
+      val local = Array.fill(n)(rnd.nextInt(n))
+      val (sub, from) = rows.sub(global, local, keep(_))
+      val member = global.zipWithIndex.toMap
+      assert(sub.n == global.length)
+      global.indices.foreach { j =>
+        val want = (rows.offsets(global(j)) until rows.offsets(global(j) + 1))
+          .filter(i => keep(i) && member.contains(rows.neigh(i)))
+        val got = sub.offsets(j) until sub.offsets(j + 1)
+        assert(got.map(from) == want, s"slots of member $j")
+        assert(got.map(sub.neigh) == want.map(i => member(rows.neigh(i))), s"row of member $j")
+        assert(local(global(j)) == j)
+      }
+    }
+  }
+
   test("checkedRows sorts each row, with the right rev and input order") {
     // rows j = 0..3: (2, 1), (1, 0), (0, 1), (1, 2)
     val (rows, order) = SocialGraph.checkedRows(3, Array(2L, 1L, 0L, 1L), Array(1L, 0L, 1L, 2L))
